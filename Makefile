@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint typecheck docs-check bench bench-smoke bench-full soak-smoke sanitize-smoke parallel-smoke serve-smoke examples obs-demo clean
+.PHONY: install test lint typecheck docs-check bench bench-smoke bench-full ablation-async soak-smoke sanitize-smoke parallel-smoke serve-smoke examples obs-demo clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -39,6 +39,12 @@ bench-smoke:
 # The paper's graph sizes (up to 5,000,000 nodes) — budget hours.
 bench-full:
 	REPRO_FULL_SCALE=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+# The §6 asynchronous-deployment ablations (versioning, receiver
+# batching, publish gating) on the asyncio peer runtime; about 10 s.
+# The CI test job runs the same line.
+ablation-async:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_ablation_async.py --benchmark-disable -q
 
 # Chaos soak smoke: three seeded crash-storm schedules against the
 # recovery-supervised runtime, zero invariant violations required

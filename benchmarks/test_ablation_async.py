@@ -1,23 +1,32 @@
 """Ablation: asynchronous deployment hazards (extends paper §6).
 
 The paper simulates batched synchronous passes; its future work is a
-real asynchronous deployment.  Reproducing the protocol at message
-granularity surfaced three design choices the paper's simulation could
-not evaluate, each quantified here on the same workload:
+real asynchronous deployment.  Running the protocol at message
+granularity on :class:`repro.runtime.AsyncPeerRuntime` (deterministic
+virtual-clock mode) surfaces three design choices the paper's
+simulation could not evaluate, each quantified here on the same
+workload:
 
 1. **Update versioning** (the load-bearing one).  The paper's 24-byte
    message carries no ordering; under latency jitter an old update can
-   arrive after — and permanently overwrite — a newer one.  Unversioned
-   runs both corrupt the result (≈0.6-1.2 max relative error in our
-   runs) and, in the fully literal mode, send an order of magnitude
-   more messages as stale values keep re-perturbing the system.
-2. **Receiver batching.**  Coalescing arrivals per document before
-   recomputing (``batch_window``) saves a further constant factor over
-   per-message recomputes.
+   arrive after — and permanently overwrite — a newer one.  With
+   versions off (``Peer.honor_versions = False`` on every node) the
+   result is corrupted, and the run never quiesces: the reliability
+   layer's retransmitted stale copies keep overwriting fresher values,
+   so receivers keep re-publishing.
+2. **Receiver batching.**  The runtime coalesces every arrival of one
+   wake-up before recomputing, so how much it batches depends on how
+   many arrivals share a delivery time.  Rounding latencies up to a
+   grid of ``window`` time units lands arrivals together and saves a
+   further constant factor over continuous latencies, where nearly
+   every arrival wakes its receiver alone.
 3. **Publish gating.**  Gating sends on the last *published* value
    bounds consumer staleness by ε; the Figure-1-literal gate on the
    last computed rank admits unbounded sub-ε drift.
 """
+
+import asyncio
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +35,23 @@ from repro.analysis import format_table
 from repro.core import pagerank_reference
 from repro.graphs import broder_graph
 from repro.p2p import DocumentPlacement, P2PNetwork
-from repro.simulation import AsyncEventSimulation, ExponentialLatency
+from repro.runtime import AsyncPeerRuntime, ExponentialLatency
+
+#: Scheduler-round budget; unversioned runs exhaust it.
+MAX_ROUNDS = 20_000
+
+
+class GridExponentialLatency:
+    """Exponential latency rounded up to a multiple of ``window``, so
+    arrivals share delivery times and coalesce at the receiver."""
+
+    def __init__(self, mean: float, window: float) -> None:
+        self.inner = ExponentialLatency(mean)
+        self.window = float(window)
+
+    def __call__(self, rng, src_peer, dst_peer):
+        delay = self.inner(rng, src_peer, dst_peer)
+        return self.window * max(1, math.ceil(delay / self.window))
 
 
 @pytest.fixture(scope="module")
@@ -37,15 +62,21 @@ def setting():
     return g, pl, ref
 
 
-def run_async(g, pl, **kwargs):
+def run_async(g, pl, *, versioned=True, **kwargs):
     net = P2PNetwork(pl.num_peers, pl, build_ring=False)
     kwargs.setdefault("latency", ExponentialLatency(1.0))
-    sim = AsyncEventSimulation(g, net, **kwargs)
-    return sim.run(max_events=2_000_000)
+    runtime = AsyncPeerRuntime(g, net, **kwargs)
+    for node in runtime.nodes:
+        node.peer.honor_versions = versioned
+    return asyncio.run(runtime.run(max_rounds=MAX_ROUNDS))
 
 
 def max_err(report, ref):
     return float((np.abs(report.ranks - ref) / ref).max())
+
+
+def quiesced(report):
+    return "yes" if report.quiesced else "budget hit"
 
 
 def test_ablation_versioning(benchmark, setting, record_table):
@@ -58,19 +89,18 @@ def test_ablation_versioning(benchmark, setting, record_table):
                 g, pl, epsilon=eps, seed=2
             ),
             "unversioned, batched": run_async(
-                g, pl, epsilon=eps, versioned_updates=False, seed=2
+                g, pl, epsilon=eps, versioned=False,
+                latency=GridExponentialLatency(1.0, 0.5), seed=2,
             ),
             "unversioned, fully literal": run_async(
-                g, pl, epsilon=eps, versioned_updates=False,
-                batch_window=0.0, publish_gate="rank", seed=2,
+                g, pl, epsilon=eps, versioned=False, gate="rank", seed=2,
             ),
         }
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     rows = [
-        (label, r.messages, f"{max_err(r, ref):.3f}",
-         "yes" if r.quiesced else "budget hit")
+        (label, r.messages, f"{max_err(r, ref):.3f}", quiesced(r))
         for label, r in results.items()
     ]
     record_table(
@@ -98,17 +128,19 @@ def test_ablation_receiver_batching(benchmark, setting, record_table):
     eps = 1e-3
 
     def run_both():
-        batched = run_async(g, pl, epsilon=eps, batch_window=0.5, seed=2)
-        per_msg = run_async(g, pl, epsilon=eps, batch_window=0.0, seed=2)
+        batched = run_async(
+            g, pl, epsilon=eps, latency=GridExponentialLatency(1.0, 0.5), seed=2
+        )
+        per_msg = run_async(g, pl, epsilon=eps, seed=2)
         return batched, per_msg
 
     batched, per_msg = benchmark.pedantic(run_both, rounds=1, iterations=1)
 
     rows = [
-        ("batched (window=0.5)", batched.messages, batched.recomputes,
-         "yes" if batched.quiesced else "budget hit"),
-        ("per-message (window=0)", per_msg.messages, per_msg.recomputes,
-         "yes" if per_msg.quiesced else "budget hit"),
+        ("batched (grid=0.5)", batched.messages, batched.recomputes,
+         quiesced(batched)),
+        ("continuous latency", per_msg.messages, per_msg.recomputes,
+         quiesced(per_msg)),
     ]
     record_table(
         "Ablation async batching",
@@ -132,12 +164,8 @@ def test_ablation_publish_gate(benchmark, setting, record_table):
     eps = 1e-4
 
     def run_both():
-        robust = run_async(
-            g, pl, epsilon=eps, publish_gate="published", seed=3
-        )
-        literal = run_async(
-            g, pl, epsilon=eps, publish_gate="rank", seed=3
-        )
+        robust = run_async(g, pl, epsilon=eps, gate="published", seed=3)
+        literal = run_async(g, pl, epsilon=eps, gate="rank", seed=3)
         return robust, literal
 
     robust, literal = benchmark.pedantic(run_both, rounds=1, iterations=1)

@@ -1,26 +1,23 @@
 #!/usr/bin/env python
-"""Three simulators, one algorithm — and two protocol hazards.
+"""Three engines, one algorithm — and the asynchronous protocol hazards.
 
-The library implements the distributed pagerank at three fidelity
-levels:
+The library runs the distributed pagerank at three fidelity levels:
 
 * the vectorized pass engine (the paper's §4.2 methodology);
 * the protocol-level pass simulator (explicit peers + message objects,
   bit-identical to the vectorized engine);
-* the discrete-event asynchronous simulator (real latencies, per-
-  message processing — the paper's §6 "future work" deployment model).
+* the asynchronous peer runtime (one asyncio task per peer, sampled
+  latencies, acks and retries — the paper's §6 "future work"
+  deployment model), here on its seeded virtual clock.
 
-This script runs all three on one graph and then demonstrates the two
-protocol hazards the asynchronous simulator surfaced during this
-reproduction (both documented in DESIGN.md):
-
-1. without receiver-side batching, the literal per-message recompute
-   rule of Figure 1 sends dramatically more messages;
-2. without per-source versioning, latency reordering can leave peers
-   permanently stale.
+This script runs all three on one graph, then points at the two
+protocol hazards the asynchronous deployment surfaces (both documented
+in DESIGN.md and measured by ``benchmarks/test_ablation_async.py``).
 
 Run:  python examples/async_vs_pass_simulation.py
 """
+
+import asyncio
 
 import numpy as np
 
@@ -29,11 +26,8 @@ from repro.analysis import format_table
 from repro.core import ChaoticPagerank, pagerank_reference
 from repro.graphs import broder_graph
 from repro.p2p import DocumentPlacement, P2PNetwork
-from repro.simulation import (
-    AsyncEventSimulation,
-    ExponentialLatency,
-    P2PPagerankSimulation,
-)
+from repro.runtime import AsyncPeerRuntime, ExponentialLatency
+from repro.simulation import P2PPagerankSimulation
 
 
 def main() -> None:
@@ -54,18 +48,20 @@ def main() -> None:
     obj = P2PPagerankSimulation(
         graph, P2PNetwork(num_peers, placement, build_ring=False), epsilon=eps
     ).run()
-    evt = AsyncEventSimulation(
-        graph,
-        P2PNetwork(num_peers, placement, build_ring=False),
-        epsilon=eps,
-        latency=ExponentialLatency(1.0),
-        seed=2,
-    ).run()
+    rt = asyncio.run(
+        AsyncPeerRuntime(
+            graph,
+            P2PNetwork(num_peers, placement, build_ring=False),
+            epsilon=eps,
+            latency=ExponentialLatency(1.0),
+            seed=2,
+        ).run()
+    )
 
     rows = [
         ("vectorized pass engine", vec.passes, vec.total_messages, f"{quality(vec.ranks):.2e}"),
         ("protocol pass simulator", obj.passes, obj.total_messages, f"{quality(obj.ranks):.2e}"),
-        ("async event simulator", "-", evt.messages, f"{quality(evt.ranks):.2e}"),
+        ("async peer runtime", "-", rt.messages, f"{quality(rt.ranks):.2e}"),
     ]
     print(format_table(
         ["Engine", "passes", "messages", "p99 err vs R_c"],
@@ -75,29 +71,14 @@ def main() -> None:
     print(f"\npass engines bit-identical: "
           f"{np.array_equal(vec.ranks, obj.ranks)}")
 
-    # ---- hazard 1: unbatched per-message recompute -------------------
-    print("\nHazard 1 — message blow-up without receiver batching:")
-    rows = []
-    for window, label in [(0.5, "batched (window=0.5)"), (0.0, "paper-literal (window=0)")]:
-        sim = AsyncEventSimulation(
-            graph,
-            P2PNetwork(num_peers, placement, build_ring=False),
-            epsilon=1e-3,
-            batch_window=window,
-            seed=3,
-        )
-        r = sim.run(max_events=3_000_000)
-        rows.append((label, r.messages, r.recomputes,
-                     "yes" if r.quiesced else "budget hit"))
-    print(format_table(
-        ["Mode", "messages", "recomputes", "quiesced"], rows,
-    ))
-
-    # ---- hazard 2: reordering without versions -----------------------
+    print("\nHazard 1 — receiver batching: arrivals that share a delivery")
+    print("  time coalesce into one recompute; continuous latencies make")
+    print("  nearly every arrival recompute alone and send more messages.")
     print("\nHazard 2 — update versioning (always on in this library):")
     print("  update messages carry per-source sequence numbers; receivers")
-    print("  drop reordered stale values.  Without this, exponential")
-    print("  latencies left documents up to ~40% stale in our tests.")
+    print("  drop reordered stale values.  Without them, stale values")
+    print("  overwrite fresh ones and runs stay inaccurate or never quiesce.")
+    print("\nBoth are measured by benchmarks/test_ablation_async.py.")
 
 
 if __name__ == "__main__":

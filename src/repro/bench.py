@@ -516,8 +516,7 @@ def _run_runtime(scenario: BenchScenario) -> BenchResult:
     from repro.graphs import broder_graph
     from repro.p2p import DocumentPlacement, P2PNetwork
     from repro.p2p.messages import ACK_SIZE_BYTES, MESSAGE_SIZE_BYTES
-    from repro.runtime import AsyncPeerRuntime
-    from repro.simulation.events import OnOffSchedule
+    from repro.runtime import AsyncPeerRuntime, OnOffSchedule
 
     graph = broder_graph(scenario.docs, seed=scenario.seed)
     placement = DocumentPlacement.random(

@@ -13,7 +13,7 @@ previous value everywhere.
 This class is intentionally plain-Python and per-document: it is the
 readable reference implementation of the protocol, cross-validated
 against the vectorized engine by the integration tests, and it is what
-the discrete-event simulator drives asynchronously.
+the asynchronous peer runtime (:mod:`repro.runtime`) drives.
 """
 
 from __future__ import annotations
@@ -366,8 +366,8 @@ class Peer:
         exceeds ε publish it and stage updates for remote out-links.
 
         Returns ``(relative_change, published)``.  Used by the
-        discrete-event asynchronous simulator, where recomputation is
-        triggered per received message rather than per global pass.
+        asynchronous peer runtime, where recomputation is triggered
+        per received message rather than per global pass.
 
         ``gate`` selects what the change is measured against:
 

@@ -1,8 +1,7 @@
 """Concurrent peer runtime: the paper's protocol as live asyncio tasks.
 
 Where :mod:`repro.p2p` executes the Distributed Pagerank protocol in
-synchronised passes and :mod:`repro.simulation.events` replays it
-through a discrete-event queue, this package *runs* it: every peer is
+synchronised passes, this package *runs* it: every peer is
 an asyncio task behind a :class:`Mailbox`, exchanging the same priced
 wire messages (:mod:`repro.p2p.messages`) over a pluggable
 :class:`Transport` with reliable delivery — acks, capped backoff, a
@@ -30,8 +29,12 @@ from repro.runtime.runtime import AsyncPeerRuntime, RuntimeReport
 from repro.runtime.tcp import TcpTransport
 from repro.runtime.transport import (
     Envelope,
+    ExponentialLatency,
+    FixedLatency,
     InMemoryTransport,
+    OnOffSchedule,
     Transport,
+    UniformLatency,
     decode_envelope,
     encode_envelope,
 )
@@ -43,6 +46,10 @@ __all__ = [
     "InMemoryTransport",
     "TcpTransport",
     "Envelope",
+    "FixedLatency",
+    "UniformLatency",
+    "ExponentialLatency",
+    "OnOffSchedule",
     "Mailbox",
     "WorkTracker",
     "PeerNode",

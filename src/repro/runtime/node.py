@@ -16,9 +16,7 @@ the dirty documents recompute (coalesced, each at most once per local
 cascade step), then all staged updates flush as one batch per
 destination — the §4.6.1 batching convention, applied per drain
 instead of per pass.  Intra-peer link updates cascade immediately
-through a local worklist (chaotic relaxation at zero network cost),
-exactly as in the discrete-event simulator
-(:mod:`repro.simulation.events`).
+through a local worklist (chaotic relaxation at zero network cost).
 """
 
 from __future__ import annotations
@@ -136,10 +134,18 @@ class PeerNode:
 
     async def step(self) -> None:
         """Deterministic-scheduler handshake: wake the task and wait
-        until it has fully drained its mailbox and serviced timers."""
+        until it has fully drained its mailbox and serviced timers.
+
+        If the task died instead, its exception is re-raised here.
+        """
         self._drained.clear()
         self._signal.set()
         await self._drained.wait()
+        task = self.task
+        if task is not None and task.done() and not task.cancelled():
+            exc = task.exception()
+            if exc is not None:
+                raise exc
 
     def request_stop(self) -> None:
         """Ask the task to exit after one final apply-only drain."""
@@ -170,21 +176,25 @@ class PeerNode:
     # ------------------------------------------------------------------
     async def run(self) -> None:
         """The peer's event loop (one asyncio task per peer)."""
-        while True:
-            await self._signal.wait()
-            self._signal.clear()
-            if self._san is not None:
-                self._san.begin_step(self._task_name)
-            if self._stop:
-                self._final_drain()
+        try:
+            while True:
+                await self._signal.wait()
+                self._signal.clear()
+                if self._san is not None:
+                    self._san.begin_step(self._task_name)
+                if self._stop:
+                    self._final_drain()
+                    return
+                now = float(self.clock.now())
+                if not self._started:
+                    self._started = True
+                    self._initial_pass(now)
+                self._drain(now)
+                self._service_timers(now)
                 self._drained.set()
-                return
-            now = float(self.clock.now())
-            if not self._started:
-                self._started = True
-                self._initial_pass(now)
-            self._drain(now)
-            self._service_timers(now)
+        finally:
+            # Release a waiting step() however the task ends; step()
+            # re-raises the exception of a task that died.
             self._drained.set()
 
     # ------------------------------------------------------------------

@@ -54,8 +54,7 @@ from repro.p2p.peer import Peer
 from repro.runtime.clock import RealClock, VirtualClock
 from repro.runtime.mailbox import Mailbox, WorkTracker
 from repro.runtime.node import PeerNode
-from repro.runtime.transport import InMemoryTransport, Transport
-from repro.simulation.events import OnOffSchedule
+from repro.runtime.transport import InMemoryTransport, OnOffSchedule, Transport
 
 __all__ = ["RuntimeReport", "AsyncPeerRuntime"]
 
@@ -220,7 +219,7 @@ class AsyncPeerRuntime:
         Seeded :class:`~repro.faults.plan.FaultPlan` for the default
         transport (loss / duplication / delay / partitions).
     availability:
-        :class:`~repro.simulation.events.OnOffSchedule` churn for the
+        :class:`~repro.runtime.transport.OnOffSchedule` churn for the
         default transport (down peers receive on return, §3.1).
     reliability:
         Ack/retry/backoff parameters shared with the pass engines'

@@ -72,7 +72,7 @@ def _make_factory(
         from repro.graphs import broder_graph
         from repro.p2p import DocumentPlacement, P2PNetwork
         from repro.runtime import AsyncPeerRuntime
-        from repro.simulation.events import OnOffSchedule
+        from repro.runtime import OnOffSchedule
 
         graph = broder_graph(args.docs, seed=args.seed)
         placement = DocumentPlacement.random(

@@ -19,16 +19,15 @@ import pytest
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.graphs import broder_graph
 from repro.p2p import DocumentPlacement, P2PNetwork
-from repro.runtime import AsyncPeerRuntime
+from repro.runtime import AsyncPeerRuntime, OnOffSchedule
 from repro.simulation import P2PPagerankSimulation
-from repro.simulation.events import OnOffSchedule
 
 SEEDS = (0, 1, 2)
 SIZES = (120, 300)
 EPSILON = 1e-4
 #: Both schedules stop inside the ε-gated fixed-point region; their
 #: mutual distance is bounded by the per-document publish gates on
-#: either side (same bound the event-simulator differential uses).
+#: either side.
 AGREEMENT_TOLERANCE = 5e-3
 
 

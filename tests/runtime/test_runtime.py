@@ -7,10 +7,15 @@ import pytest
 
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.transport import ReliabilityConfig
-from repro.graphs import broder_graph
+from repro.graphs import broder_graph, cycle_graph
 from repro.p2p import DocumentPlacement, P2PNetwork
-from repro.runtime import AsyncPeerRuntime, InMemoryTransport, TcpTransport
-from repro.simulation.events import FixedLatency, OnOffSchedule
+from repro.runtime import (
+    AsyncPeerRuntime,
+    FixedLatency,
+    InMemoryTransport,
+    OnOffSchedule,
+    TcpTransport,
+)
 
 
 def make_runtime(docs=200, peers=8, seed=5, transport_seed=None, **kwargs):
@@ -94,6 +99,25 @@ class TestDeterministicMode:
         assert report.converged
         assert report.deferred_deliveries > 0
 
+    def test_cycle_from_uniform_is_silent(self):
+        # Uniform init is the cycle's fixed point: the first computes
+        # change nothing, so nothing is ever sent.
+        graph = cycle_graph(6)
+        placement = DocumentPlacement.random(6, 2, seed=0)
+        runtime = AsyncPeerRuntime(
+            graph, P2PNetwork(2, placement, build_ring=False), epsilon=1e-6, seed=0
+        )
+        report = asyncio.run(runtime.run())
+        assert report.quiesced and report.converged
+        assert report.messages == 0
+
+    def test_crashed_peer_task_raises_instead_of_hanging(self):
+        # A zero latency fails inside a peer task; step() must surface
+        # the error rather than wait forever for the drain signal.
+        runtime = make_runtime(docs=60, peers=4, latency=lambda rng, s, d: 0.0)
+        with pytest.raises(ValueError, match="strictly positive"):
+            asyncio.run(asyncio.wait_for(runtime.run(), 10))
+
     def test_requires_in_memory_transport(self):
         runtime = make_runtime(transport=TcpTransport())
         with pytest.raises(TypeError, match="in-memory"):
@@ -128,6 +152,10 @@ class TestValidation:
     def test_bad_gate_rejected(self):
         with pytest.raises(ValueError, match="gate"):
             make_runtime(gate="latest")
+
+    def test_bad_max_rounds_rejected(self):
+        with pytest.raises(ValueError, match="max_rounds"):
+            asyncio.run(make_runtime().run(max_rounds=0))
 
 
 class TestRealtimeMode:

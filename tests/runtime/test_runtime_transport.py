@@ -1,5 +1,7 @@
-"""Unit tests for the in-memory transport and the wire codec."""
+"""Unit tests for the in-memory transport, its latency models and
+availability schedule, and the wire codec."""
 
+import numpy as np
 import pytest
 
 from repro.faults.plan import FaultPlan, FaultSpec
@@ -9,11 +11,14 @@ from repro.runtime.transport import (
     KIND_ACK,
     KIND_BATCH,
     Envelope,
+    ExponentialLatency,
+    FixedLatency,
     InMemoryTransport,
+    OnOffSchedule,
+    UniformLatency,
     decode_envelope,
     encode_envelope,
 )
-from repro.simulation.events import FixedLatency, OnOffSchedule
 
 
 def batch(sender=0, receiver=1, n=2) -> MessageBatch:
@@ -110,6 +115,65 @@ class TestInMemoryTransport:
         assert transport.next_due() == pytest.approx(up_at)
         assert transport.deliver_due(up_at) == 1
         assert len(boxes[1]) == 1
+
+
+class TestLatencyModels:
+    def test_fixed(self):
+        rng = np.random.default_rng(0)
+        m = FixedLatency(1.5)
+        assert m(rng, 0, 1) == 1.5
+
+    def test_uniform_bounds(self):
+        rng = np.random.default_rng(0)
+        m = UniformLatency(0.5, 1.5)
+        draws = [m(rng, 0, 1) for _ in range(200)]
+        assert min(draws) >= 0.5
+        assert max(draws) <= 1.5
+
+    def test_exponential_mean(self):
+        rng = np.random.default_rng(0)
+        m = ExponentialLatency(2.0)
+        draws = [m(rng, 0, 1) for _ in range(5000)]
+        assert np.mean(draws) == pytest.approx(2.0, rel=0.1)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            FixedLatency(-1.0)
+        with pytest.raises(ValueError):
+            UniformLatency(2.0, 1.0)
+        with pytest.raises(ValueError):
+            ExponentialLatency(0.0)
+
+
+class TestOnOffSchedule:
+    def test_onoff_schedule_structure(self):
+        sched = OnOffSchedule(5, mean_up=10.0, mean_down=5.0, seed=0)
+        assert sched.stationary_availability == pytest.approx(10 / 15)
+        # next_up is monotone and idempotent when up
+        for peer in range(5):
+            for t in (0.0, 3.7, 42.0):
+                up_at = sched.next_up(peer, t)
+                assert up_at >= t
+                assert sched.next_up(peer, up_at) == up_at
+                assert sched.is_up(peer, up_at)
+
+    def test_onoff_schedule_has_downtime(self):
+        sched = OnOffSchedule(20, mean_up=5.0, mean_down=5.0, seed=1)
+        down_seen = any(
+            not sched.is_up(p, t)
+            for p in range(20)
+            for t in np.linspace(0, 100, 50)
+        )
+        assert down_seen
+
+    def test_onoff_validation(self):
+        with pytest.raises(ValueError):
+            OnOffSchedule(0)
+        with pytest.raises(ValueError):
+            OnOffSchedule(3, mean_up=0.0)
+        sched = OnOffSchedule(3, seed=0)
+        with pytest.raises(IndexError):
+            sched.next_up(9, 0.0)
 
 
 class TestWireCodec:

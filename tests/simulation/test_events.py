@@ -1,16 +1,24 @@
-"""Tests of the discrete-event asynchronous simulator."""
+"""Event-driven asynchronous runs of :class:`repro.runtime.AsyncPeerRuntime`.
+
+The deterministic (virtual-clock) mode is a seeded discrete-event
+simulation of the Figure 1 peers: these tests pin its quiescence,
+interleaving independence, budget, churn and validation behaviour on
+small Broder graphs against the centralised reference.
+"""
+
+import asyncio
 
 import numpy as np
 import pytest
 
 from repro.core import pagerank_reference
-from repro.graphs import broder_graph, cycle_graph
+from repro.graphs import broder_graph
 from repro.p2p import DocumentPlacement, P2PNetwork
-from repro.simulation import (
-    AsyncEventSimulation,
+from repro.runtime import (
+    AsyncPeerRuntime,
     ExponentialLatency,
     FixedLatency,
-    UniformLatency,
+    OnOffSchedule,
 )
 
 
@@ -20,11 +28,16 @@ def build(num_docs=80, num_peers=5, seed=0):
     return g, P2PNetwork(num_peers, pl, build_ring=False)
 
 
+def run(g, net, **kwargs):
+    max_rounds = kwargs.pop("max_rounds", 1_000_000)
+    runtime = AsyncPeerRuntime(g, net, **kwargs)
+    return asyncio.run(runtime.run(max_rounds=max_rounds))
+
+
 class TestQuiescence:
     def test_quiesces_and_approximates_reference(self):
         g, net = build()
-        sim = AsyncEventSimulation(g, net, epsilon=1e-3, seed=1)
-        report = sim.run()
+        report = run(g, net, epsilon=1e-3, seed=1)
         assert report.quiesced
         ref = pagerank_reference(g).ranks
         rel = np.abs(report.ranks - ref) / ref
@@ -37,10 +50,9 @@ class TestQuiescence:
         g, net = build(seed=4)
         ranks = []
         for seed in (1, 2, 3):
-            sim = AsyncEventSimulation(
+            report = run(
                 g, net, epsilon=1e-4, seed=seed, latency=ExponentialLatency(1.0)
             )
-            report = sim.run()
             assert report.quiesced
             ranks.append(report.ranks)
         for other in ranks[1:]:
@@ -49,63 +61,28 @@ class TestQuiescence:
 
     def test_deterministic_given_seed(self):
         g, net = build(seed=5)
-        a = AsyncEventSimulation(g, net, epsilon=1e-3, seed=42).run()
+        a = run(g, net, epsilon=1e-3, seed=42)
         g2, net2 = build(seed=5)
-        b = AsyncEventSimulation(g2, net2, epsilon=1e-3, seed=42).run()
+        b = run(g2, net2, epsilon=1e-3, seed=42)
         assert np.array_equal(a.ranks, b.ranks)
-        assert a.events_processed == b.events_processed
+        assert (a.rounds, a.recomputes) == (b.rounds, b.recomputes)
 
     def test_event_budget_respected(self):
         g, net = build()
-        sim = AsyncEventSimulation(g, net, epsilon=1e-6, seed=0)
-        report = sim.run(max_events=100)
+        full = run(g, net, epsilon=1e-6, seed=0)
+        assert full.quiesced
+        # A budget of half the natural run length must cut it short.
+        budget = full.rounds // 2
+        assert budget > 0
+        report = run(g, net, epsilon=1e-6, seed=0, max_rounds=budget)
         assert not report.quiesced
-        assert report.events_processed == 100
-
-    def test_cycle_from_uniform_is_silent(self):
-        g = cycle_graph(6)
-        pl = DocumentPlacement.random(6, 2, seed=0)
-        net = P2PNetwork(2, pl, build_ring=False)
-        report = AsyncEventSimulation(g, net, epsilon=1e-6, seed=0).run()
-        # uniform init is the fixed point: first computes change nothing
-        assert report.quiesced
-        assert report.messages == 0
+        assert report.rounds == budget
 
     def test_sim_time_advances(self):
         g, net = build(seed=6)
-        report = AsyncEventSimulation(
-            g, net, epsilon=1e-3, seed=0, latency=FixedLatency(2.0)
-        ).run()
+        report = run(g, net, epsilon=1e-3, seed=0, latency=FixedLatency(2.0))
         assert report.quiesced
-        assert report.sim_time > 0
-
-
-class TestLatencyModels:
-    def test_fixed(self):
-        rng = np.random.default_rng(0)
-        m = FixedLatency(1.5)
-        assert m(rng, 0, 1) == 1.5
-
-    def test_uniform_bounds(self):
-        rng = np.random.default_rng(0)
-        m = UniformLatency(0.5, 1.5)
-        draws = [m(rng, 0, 1) for _ in range(200)]
-        assert min(draws) >= 0.5
-        assert max(draws) <= 1.5
-
-    def test_exponential_mean(self):
-        rng = np.random.default_rng(0)
-        m = ExponentialLatency(2.0)
-        draws = [m(rng, 0, 1) for _ in range(5000)]
-        assert np.mean(draws) == pytest.approx(2.0, rel=0.1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FixedLatency(-1.0)
-        with pytest.raises(ValueError):
-            UniformLatency(2.0, 1.0)
-        with pytest.raises(ValueError):
-            ExponentialLatency(0.0)
+        assert report.clock_time > 0
 
 
 class TestValidation:
@@ -113,60 +90,14 @@ class TestValidation:
         g = broder_graph(30, seed=0)
         net = P2PNetwork(3, build_ring=False)
         with pytest.raises(ValueError, match="placement"):
-            AsyncEventSimulation(g, net)
-
-    def test_bad_max_events(self):
-        g, net = build()
-        with pytest.raises(ValueError):
-            AsyncEventSimulation(g, net).run(max_events=0)
+            AsyncPeerRuntime(g, net)
 
 
 class TestContinuousChurn:
-    def test_onoff_schedule_structure(self):
-        from repro.simulation import OnOffSchedule
-
-        sched = OnOffSchedule(5, mean_up=10.0, mean_down=5.0, seed=0)
-        assert sched.stationary_availability == pytest.approx(10 / 15)
-        # next_up is monotone and idempotent when up
-        for peer in range(5):
-            for t in (0.0, 3.7, 42.0):
-                up_at = sched.next_up(peer, t)
-                assert up_at >= t
-                assert sched.next_up(peer, up_at) == up_at
-                assert sched.is_up(peer, up_at)
-
-    def test_onoff_schedule_has_downtime(self):
-        from repro.simulation import OnOffSchedule
-
-        sched = OnOffSchedule(20, mean_up=5.0, mean_down=5.0, seed=1)
-        down_seen = any(
-            not sched.is_up(p, t)
-            for p in range(20)
-            for t in np.linspace(0, 100, 50)
-        )
-        assert down_seen
-
-    def test_onoff_validation(self):
-        from repro.simulation import OnOffSchedule
-
-        with pytest.raises(ValueError):
-            OnOffSchedule(0)
-        with pytest.raises(ValueError):
-            OnOffSchedule(3, mean_up=0.0)
-        sched = OnOffSchedule(3, seed=0)
-        with pytest.raises(IndexError):
-            sched.next_up(9, 0.0)
-
     def test_async_with_churn_converges(self):
-        from repro.core import pagerank_reference
-        from repro.simulation import OnOffSchedule
-
         g, net = build(num_docs=120, num_peers=6, seed=9)
         sched = OnOffSchedule(6, mean_up=10.0, mean_down=5.0, seed=10)
-        sim = AsyncEventSimulation(
-            g, net, epsilon=1e-4, availability=sched, seed=11
-        )
-        report = sim.run()
+        report = run(g, net, epsilon=1e-4, availability=sched, seed=11)
         assert report.quiesced
         assert report.deferred_deliveries > 0
         ref = pagerank_reference(g).ranks
@@ -174,25 +105,19 @@ class TestContinuousChurn:
         assert np.percentile(rel, 99) < 5e-3
 
     def test_churn_extends_sim_time_not_traffic(self):
-        from repro.simulation import OnOffSchedule
-
         g, net = build(num_docs=100, num_peers=5, seed=12)
-        plain = AsyncEventSimulation(g, net, epsilon=1e-3, seed=13).run()
+        plain = run(g, net, epsilon=1e-3, seed=13)
         g2, net2 = build(num_docs=100, num_peers=5, seed=12)
-        churned = AsyncEventSimulation(
+        churned = run(
             g2, net2, epsilon=1e-3, seed=13,
             availability=OnOffSchedule(5, mean_up=5.0, mean_down=10.0, seed=14),
-        ).run()
+        )
         assert churned.quiesced
         # downtime delays delivery but does not multiply messages
         assert churned.messages < 2 * plain.messages
-        assert churned.sim_time > plain.sim_time
+        assert churned.clock_time > plain.clock_time
 
     def test_peer_count_mismatch_rejected(self):
-        from repro.simulation import OnOffSchedule
-
         g, net = build(num_docs=50, num_peers=5, seed=15)
         with pytest.raises(ValueError, match="mismatch"):
-            AsyncEventSimulation(
-                g, net, availability=OnOffSchedule(3, seed=0)
-            )
+            AsyncPeerRuntime(g, net, availability=OnOffSchedule(3, seed=0))

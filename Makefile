@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint typecheck docs-check bench bench-smoke bench-full ablation-async soak-smoke sanitize-smoke parallel-smoke serve-smoke examples obs-demo clean
+.PHONY: install test lint typecheck docs-check bench bench-smoke bench-full perfbench-selftest ablation-async soak-smoke sanitize-smoke parallel-smoke serve-smoke examples obs-demo clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -35,6 +35,13 @@ bench:
 # smoke variant regression-checks the 1k rows against the committed file.
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro bench --smoke --compare
+
+# The repository benchmark (BENCHMARK.json, perfbench/README.md) at tiny
+# sizes: every workload's output checks, traced and untraced, including
+# the simulator matching the vectorized engine bit for bit; about 2 s.
+# The CI test job runs the same line.
+perfbench-selftest:
+	$(PYTHON) perfbench/selftest.py
 
 # The paper's graph sizes (up to 5,000,000 nodes) — budget hours.
 bench-full:

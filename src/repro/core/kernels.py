@@ -131,9 +131,7 @@ class EdgeWorkspace:
         out_deg = graph.out_degrees()
         src = np.repeat(np.arange(n, dtype=np.int64), out_deg)
         dst = graph.indices
-        inv = np.zeros(n, dtype=np.float64)
-        nz = out_deg > 0
-        inv[nz] = 1.0 / out_deg[nz]
+        inv = graph.inv_out_degrees()
         ws = cls(
             num_nodes=n,
             src=src,
@@ -237,9 +235,7 @@ class CSRWorkspace:
         out_deg = graph.out_degrees()
         src = np.repeat(np.arange(n, dtype=np.int64), out_deg)
         dst = graph.indices
-        inv = np.zeros(n, dtype=np.float64)
-        nz = out_deg > 0
-        inv[nz] = 1.0 / out_deg[nz]
+        inv = graph.inv_out_degrees()
         edge_weight = inv[src]
         # Reverse CSR: stable sort of the forward edge list by target
         # keeps, within each target, the ascending-source order the

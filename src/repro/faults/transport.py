@@ -371,6 +371,7 @@ class ReliableTransport:
         self.stats = FaultStats()
         self._obs = _FaultInstruments(registry)
         self._flights: Dict[int, _Flight] = {}
+        self._unacked = 0  # updates across ``_flights``
         self._next_fid = 0
         # (due_pass, seq, flight, attempt_no) — copies travelling the
         # network, delivered in deterministic (due, seq) order.
@@ -395,7 +396,7 @@ class ReliableTransport:
     @property
     def unacked_updates(self) -> int:
         """Updates in flights still awaiting acknowledgement."""
-        return sum(len(f.batch) for f in self._flights.values())
+        return self._unacked
 
     @property
     def unacked_flights(self) -> int:
@@ -506,6 +507,7 @@ class ReliableTransport:
         )
         self._next_fid += 1
         self._flights[flight.fid] = flight
+        self._unacked += len(batch)
         self._attempt(pass_index, flight, live)
 
     # ------------------------------------------------------------------
@@ -521,6 +523,7 @@ class ReliableTransport:
             flight = self._flights[fid]
             if flight.batch.sender_peer == peer:
                 lost += len(flight.batch)
+                self._unacked -= len(flight.batch)
                 del self._flights[fid]
         # The store-and-resend holding area is volatile too.
         for park_id in list(self._parked):
@@ -631,6 +634,7 @@ class ReliableTransport:
                 self.stats.acks_dropped += 1
                 self._obs.ack_drops.inc()
             else:
+                self._unacked -= len(batch)
                 del self._flights[flight.fid]
 
     def _abandon(self, flight: _Flight, pass_index: int, live) -> None:
@@ -643,6 +647,7 @@ class ReliableTransport:
         self.stats.abandoned_updates += len(batch)
         self._obs.abandoned.inc(len(batch))
         self._abandoned_mass += sum(abs(u.value) for u in batch)
+        self._unacked -= len(batch)
         del self._flights[flight.fid]
         undeliverable = self.plan.link_blocked(
             pass_index, batch.sender_peer, batch.receiver_peer

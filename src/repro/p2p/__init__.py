@@ -32,6 +32,7 @@ from repro.p2p.messages import (
     MessageBatch,
     Outbox,
     PagerankUpdate,
+    UpdateBlock,
 )
 from repro.p2p.network import DocumentPlacement, P2PNetwork
 from repro.p2p.peer import PassOutcome, Peer
@@ -68,6 +69,7 @@ __all__ = [
     "MESSAGE_SIZE_BYTES",
     "ACK_SIZE_BYTES",
     "PagerankUpdate",
+    "UpdateBlock",
     "MessageBatch",
     "BatchAck",
     "Outbox",

@@ -10,22 +10,27 @@ network message — but note that, per the pseudocode, publishing too is
 gated by ε: a document that did not change significantly exposes its
 previous value everywhere.
 
-This class is intentionally plain-Python and per-document: it is the
-readable reference implementation of the protocol, cross-validated
-against the vectorized engine by the integration tests, and it is what
-the asynchronous peer runtime (:mod:`repro.runtime`) drives.
+Two paths implement the same protocol.  The per-document path
+(:meth:`Peer.recompute_document`, :meth:`Peer.receive`, and the whole
+pass under ``REPRO_KERNEL=naive``) is plain Python over
+:class:`~repro.p2p.messages.PagerankUpdate` records; it is the readable
+reference and what the asynchronous peer runtime (:mod:`repro.runtime`)
+drives.  The ``csr`` pass path works on columns: one bincount over a
+per-peer in-link shard, one out-link gather that stages the pass as an
+:class:`~repro.p2p.messages.UpdateBlock`, and one vectorized receive
+per delivered block.  The differential tests hold the two bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.kernels import expand_rows, kernel_backend, relative_change
 from repro.graphs.linkgraph import LinkGraph
-from repro.p2p.messages import Outbox, PagerankUpdate
+from repro.p2p.messages import Outbox, PagerankUpdate, UpdateBlock
 
 __all__ = ["Peer", "PassOutcome"]
 
@@ -108,13 +113,11 @@ class Peer:
         #: Stored updates awaiting absent receivers: peer -> updates.
         self.deferred: Dict[int, List[PagerankUpdate]] = {}
         self.outbox = Outbox(self.peer_id)
-        # Reciprocal out-degrees, multiplied rather than divided so the
-        # floating-point operations match the vectorized engine bit for
-        # bit (the integration tests assert exact rank equality).
-        out_deg = graph.out_degrees()
-        self._inv_out = np.zeros(graph.num_nodes, dtype=np.float64)
-        nz = out_deg > 0
-        self._inv_out[nz] = 1.0 / out_deg[nz]
+        # Reciprocal out-degrees, shared by every peer of the graph and
+        # multiplied rather than divided so the floating-point
+        # operations match the vectorized engine bit for bit (the
+        # integration tests assert exact rank equality).
+        self._inv_out = graph.inv_out_degrees()
         # Per-peer reverse sub-CSR shard (``csr`` kernel backend only).
         # Built lazily from the global reverse graph; invalidated when
         # the local document set changes (surrender/adopt).  The shard
@@ -130,6 +133,8 @@ class Peer:
         self._vis_ids: Optional[np.ndarray] = None  # global ids, sorted
         self._vis_index: Optional[Dict[int, int]] = None  # global id -> slot
         self._visible: Optional[np.ndarray] = None  # compact visible values
+        self._doc_slot: Optional[np.ndarray] = None  # visible slot per doc
+        self._vis_local: Optional[np.ndarray] = None  # slot holds a local doc
 
     # ------------------------------------------------------------------
     def _invalidate_shard(self) -> None:
@@ -142,6 +147,8 @@ class Peer:
         self._vis_ids = None
         self._vis_index = None
         self._visible = None
+        self._doc_slot = None
+        self._vis_local = None
 
     def _ensure_shard(self) -> None:
         """Build the per-peer reverse sub-CSR over the local documents.
@@ -169,6 +176,9 @@ class Peer:
             visible[i] = self.visible_value(int(g))
         self._visible = visible
         self._lslot = np.searchsorted(need, lsrc)
+        self._doc_slot = np.searchsorted(need, docs)
+        self._vis_local = np.zeros(need.size, dtype=bool)
+        self._vis_local[self._doc_slot] = True
         self._rank_arr = np.array(
             [self.rank[int(d)] for d in docs], dtype=np.float64
         )
@@ -213,12 +223,83 @@ class Peer:
                 self._visible[slot] = update.value
         return True
 
-    def receive_batch(self, updates: Iterable[PagerankUpdate]) -> int:
-        """Receive many updates; returns how many mutated state."""
+    def receive_batch(
+        self, updates: Union[Iterable[PagerankUpdate], UpdateBlock]
+    ) -> int:
+        """Receive many updates in order; returns how many mutated state.
+
+        An :class:`~repro.p2p.messages.UpdateBlock` is received with
+        one vectorized pass whose outcome — state and return value —
+        equals receiving its rows one by one with :meth:`receive`.
+        """
+        if isinstance(updates, UpdateBlock):
+            return self._receive_block(updates)
         applied = 0
         for u in updates:
             if self.receive(u):
                 applied += 1
+        return applied
+
+    def _receive_block(self, block: UpdateBlock) -> int:
+        """Vectorized :meth:`receive` over every row of ``block``.
+
+        With versions honored, a row is applied iff its version exceeds
+        both the version held for its source and every earlier row's
+        version for that source (a rejected row never exceeds the
+        running bar; an applied one becomes it).  An equal version
+        still applies when no value is held yet.  Each source then
+        holds its last applied row.  Unversioned, every row applies
+        and the last arrival per source wins.
+        """
+        n = len(block)
+        if n == 0:
+            return 0
+        src = block.source_doc
+        values = self.remote_values
+        if self.honor_versions:
+            held = self._remote_versions
+            order = np.argsort(src, kind="stable")
+            s = src[order]
+            ver = block.version[order]
+            first = np.empty(n, dtype=bool)
+            first[0] = True
+            np.not_equal(s[1:], s[:-1], out=first[1:])
+            group = np.cumsum(first) - 1
+            floor = np.array(
+                [held.get(x, -1) - (x not in values) for x in s[first].tolist()],
+                dtype=np.int64,
+            )
+            # Group-major keys: a running max over them never leaks a
+            # value across sources, so it is the per-source running max.
+            lo = min(int(ver.min()), int(floor.min()))
+            span = max(int(ver.max()), int(floor.max())) - lo + 1
+            base = group * span - lo
+            key = base + ver
+            bar = base[first] + floor
+            bar = bar[group]
+            seen = np.maximum.accumulate(key)
+            np.maximum(bar[1:], seen[:-1], out=bar[1:])
+            rows = np.flatnonzero(key > bar)
+            applied = int(rows.size)
+            if not applied:
+                return 0
+            g = group[rows]
+            last = rows[np.append(g[1:] != g[:-1], True)]
+            winners = order[last]
+            held.update(zip(s[last].tolist(), ver[last].tolist()))
+        else:
+            applied = n
+            _, back = np.unique(src[::-1], return_index=True)
+            winners = n - 1 - back
+        win_src = src[winners]
+        win_val = block.value[winners]
+        values.update(zip(win_src.tolist(), win_val.tolist()))
+        if self._visible is not None and self._visible.size:
+            assert self._vis_ids is not None and self._vis_local is not None
+            slots = np.searchsorted(self._vis_ids, win_src)
+            np.minimum(slots, self._vis_ids.size - 1, out=slots)
+            hit = (self._vis_ids[slots] == win_src) & ~self._vis_local[slots]
+            self._visible[slots[hit]] = win_val[hit]
         return applied
 
     # ------------------------------------------------------------------
@@ -301,26 +382,52 @@ class Peer:
         rel = relative_change(old, new)
         max_change = float(rel.max()) if k else 0.0
         # Sync the rank dict only where the bits actually changed.
-        for i in np.flatnonzero(new != old):
-            self.rank[int(docs[i])] = float(new[i])
+        changed = np.flatnonzero(new != old)
+        self.rank.update(zip(docs[changed].tolist(), new[changed].tolist()))
         self._rank_arr = new
-        staged = 0
-        published: List[int] = []
-        vis_index = self._vis_index
-        assert vis_index is not None
-        for i in np.flatnonzero(rel > epsilon):
-            doc = int(docs[i])
-            value = float(new[i])
-            self.published[doc] = value
-            self._visible[vis_index[doc]] = value
-            published.append(doc)
-            staged += self._stage_updates(doc, value, peer_of)
+        active = np.flatnonzero(rel > epsilon)
+        pub_docs = docs[active]
+        pub_values = new[active]
+        assert self._doc_slot is not None
+        self._visible[self._doc_slot[active]] = pub_values
+        pub_list = pub_docs.tolist()
+        self.published.update(zip(pub_list, pub_values.tolist()))
+        versions = self._publish_version
+        pub_versions = [versions.get(doc, 0) + 1 for doc in pub_list]
+        versions.update(zip(pub_list, pub_versions))
+        staged = self._stage_block(pub_docs, pub_values, pub_versions, peer_of)
         return PassOutcome(
-            active_documents=len(published),
+            active_documents=int(active.size),
             max_rel_change=max_change,
             staged_updates=staged,
-            published_docs=tuple(published),
+            published_docs=tuple(pub_list),
         )
+
+    def _stage_block(
+        self,
+        docs: np.ndarray,
+        values: np.ndarray,
+        versions: List[int],
+        peer_of: np.ndarray,
+    ) -> int:
+        """Stage updates for the remote out-links of every document in
+        ``docs`` (ascending) as one block — one out-link gather, in the
+        order :meth:`_stage_updates` would stage them one by one."""
+        if not docs.size:
+            return 0
+        pos, lens = expand_rows(self.graph.indptr, docs)
+        targets = self.graph.indices[pos]
+        dests = peer_of[targets]
+        remote = dests != self.peer_id
+        block = UpdateBlock(
+            dests[remote],
+            targets[remote],
+            np.repeat(docs, lens)[remote],
+            np.repeat(values, lens)[remote],
+            np.repeat(np.asarray(versions, dtype=np.int64), lens)[remote],
+        )
+        self.outbox.stage_block(block)
+        return len(block)
 
     # ------------------------------------------------------------------
     def _fresh_rank(self, doc: int, damping: float) -> float:

@@ -141,11 +141,18 @@ class PeerNode:
         self._drained.clear()
         self._signal.set()
         await self._drained.wait()
+        exc = self.failure
+        if exc is not None:
+            raise exc
+
+    @property
+    def failure(self) -> Optional[BaseException]:
+        """The exception the task died of, or ``None`` while it runs
+        (or after it exited cleanly)."""
         task = self.task
-        if task is not None and task.done() and not task.cancelled():
-            exc = task.exception()
-            if exc is not None:
-                raise exc
+        if task is None or not task.done() or task.cancelled():
+            return None
+        return task.exception()
 
     def request_stop(self) -> None:
         """Ask the task to exit after one final apply-only drain."""

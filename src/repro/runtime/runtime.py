@@ -666,6 +666,8 @@ class AsyncPeerRuntime:
             for node in self.nodes:
                 if node.timer_due(now):
                     node.wake()
+            if any(node.failure is not None for node in self.nodes):
+                break  # shutdown() re-raises the dead task's exception
             if self._idle():
                 if quiet_since is None:
                     quiet_since = now
@@ -696,20 +698,23 @@ class AsyncPeerRuntime:
     # ------------------------------------------------------------------
     async def shutdown(self) -> None:
         """Graceful drain: every node applies its queued envelopes and
-        exits; the transport tears down.  Idempotent."""
+        exits; the transport tears down.  Idempotent.  If a peer task
+        died, its exception is re-raised once the rest have stopped."""
         if self._shut_down:
             return
         self._shut_down = True
         for node in self.nodes:
             node.request_stop()
         tasks = [node.task for node in self.nodes if node.task is not None]
-        if tasks:
-            await asyncio.gather(*tasks)
+        outcomes = await asyncio.gather(*tasks, return_exceptions=True)
         if self.sanitizer is not None:
             # Join barrier: the final drains happen-before the
             # coordinator's report reads (staleness probe, rank gather).
             self.sanitizer.round_barrier()
         await self.transport.stop()
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                raise outcome
 
     @property
     def clock_now(self) -> float:

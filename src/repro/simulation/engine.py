@@ -7,23 +7,31 @@ protocol*: :class:`~repro.p2p.peer.Peer` state machines exchanging
 batches, with §3.1 store-and-resend for absent peers and an optional
 §3.2 delivery policy pricing DHT routing hops.
 
-It is deliberately per-message Python — the readable reference the
-integration suite cross-validates against the fast engine (identical
-ranks, identical message counts, identical pass counts), exercised at
-test scale.  Use the vectorized engine for anything large.
+Under the default ``csr`` kernel backend the update plane is columnar
+at pass granularity: each live peer stages its whole pass as one
+:class:`~repro.p2p.messages.UpdateBlock`, and the lossless path
+concatenates every sender's block once per pass, stable-sorts it by
+receiver and hands each receiver its rows in one vectorized receive.
+Per-update :class:`~repro.p2p.messages.PagerankUpdate` records are
+built only where a consumer needs them: store-and-resend and the
+reliable transport.  ``REPRO_KERNEL=naive`` keeps the per-update
+object path end to end as the parity reference.  Either way the
+simulator matches the vectorized engine exactly (identical ranks,
+message counts and pass counts), which the integration suite checks.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro._util import check_positive, check_threshold
 from repro.core.convergence import ConvergenceTracker, PassStats, RunReport
 from repro.core.distributed import AvailabilityModel
-from repro.core.kernels import expand_rows
+from repro.core.kernels import expand_rows, kernel_backend
 from repro.core.pagerank import DEFAULT_DAMPING
 from repro.faults.plan import FaultPlan
 from repro.faults.transport import (
@@ -33,7 +41,7 @@ from repro.faults.transport import (
 )
 from repro.graphs.linkgraph import LinkGraph
 from repro.obs import get_registry, get_trace_sink
-from repro.p2p.messages import MESSAGE_SIZE_BYTES, MessageBatch
+from repro.p2p.messages import MESSAGE_SIZE_BYTES, MessageBatch, UpdateBlock
 from repro.p2p.network import P2PNetwork
 from repro.p2p.peer import Peer
 from repro.p2p.routing import DeliveryPolicy
@@ -259,7 +267,10 @@ class P2PPagerankSimulation:
         self._absence = np.zeros(network.num_peers, dtype=np.int64)
         # Documents that received an update not yet folded into a
         # recompute (absent owners); blocks premature convergence.
-        self._dirty: Set[int] = set()
+        self._dirty = np.zeros(graph.num_nodes, dtype=bool)
+        # Columnar update plane (docs/PERFORMANCE.md); the naive kernel
+        # backend keeps the per-update object path.
+        self._columnar = kernel_backend() == "csr"
 
     # ------------------------------------------------------------------
     def run(
@@ -309,7 +320,7 @@ class P2PPagerankSimulation:
         crash_down = None
         if faulted:
             transport = ReliableTransport(
-                self.faults, self.reliability, self._fault_deliver, registry=reg
+                self.faults, self.reliability, _weak_deliver(self), registry=reg
             )
             self.transport = transport
             detector = StagnationDetector(self.stagnation_window)
@@ -424,7 +435,7 @@ class P2PPagerankSimulation:
                         computed += len(peer.documents)
                         if outcome.max_rel_change > max_change:
                             max_change = outcome.max_rel_change
-                        self._dirty.difference_update(peer._local)
+                        self._dirty[peer.documents] = False
                         published_docs.extend(outcome.published_docs)
                     # Published values are instantly visible to co-located
                     # consumers, who now owe a recompute (the vectorized engine
@@ -437,7 +448,7 @@ class P2PPagerankSimulation:
                         targets = self.graph.indices[pos]
                         owners = np.repeat(self._peer_of[pubs], lens)
                         colocated = targets[self._peer_of[targets] == owners]
-                        self._dirty.update(int(t) for t in colocated)
+                        self._dirty[colocated] = True
 
                     # (3) drain outboxes: deliver or defer (reliable
                     #     transport: submit each batch as a new flight)
@@ -450,7 +461,10 @@ class P2PPagerankSimulation:
                         messages = transport.pass_delivered
                         resent = transport.pass_resent
                     else:
-                        delivered = self._deliver_outboxes(live)
+                        if self._columnar:
+                            delivered = self._deliver_pass_block(live)
+                        else:
+                            delivered = self._deliver_outboxes(live)
                         messages = delivered + resent
 
                 self.traffic.update_messages += messages
@@ -498,7 +512,7 @@ class P2PPagerankSimulation:
                     # arrive: strong convergence must not be certified
                     # over them, and a quiescent system that still owes
                     # undeliverable updates is stagnant, not converging.
-                    quiescent = active == 0 and not self._dirty
+                    quiescent = active == 0 and not self._dirty.any()
                     if (
                         quiescent
                         and transport.undeliverable_updates == 0
@@ -515,7 +529,7 @@ class P2PPagerankSimulation:
                         transport.note_stagnation_abort()
                         diagnostics = transport.diagnose(t, detector.streak)
                         break
-                elif active == 0 and deferred_now == 0 and not self._dirty:
+                elif active == 0 and deferred_now == 0 and not self._dirty.any():
                     converged = True
                     break
         return tracker.finish(self.ranks(), converged, diagnostics)
@@ -603,6 +617,54 @@ class P2PPagerankSimulation:
                     peer.defer(batch.receiver_peer, batch.updates)
         return delivered
 
+    def _deliver_pass_block(self, live: np.ndarray) -> int:
+        """Step 3 on the columnar plane: every live peer's staged block,
+        concatenated once for the pass.  Rows for absent receivers are
+        stored (§3.1); the rest are stable-sorted by receiver, so each
+        receiver gets one vectorized receive of its rows in the order
+        per-batch delivery would have applied them (senders ascending,
+        then staging order).  Returns updates delivered."""
+        senders = [p for p in self.peers if live[p.peer_id]]
+        blocks = [p.outbox.take_block() for p in senders]
+        counts = [len(b) for b in blocks]
+        if not sum(counts):
+            return 0
+        block = UpdateBlock.concat(blocks)
+        sender = np.repeat(
+            np.array([p.peer_id for p in senders], dtype=np.int64), counts
+        )
+        arrives = live[block.dest_peer]
+        if not arrives.all():
+            stored = ~arrives
+            for (src_peer, dest), updates in _group_rows(
+                sender[stored], block.dest_peer[stored], block.take(stored).records()
+            ).items():
+                self.peers[src_peer].defer(dest, updates)
+            block = block.take(arrives)
+            sender = sender[arrives]
+            if not len(block):
+                return 0
+        dests = block.dest_peer
+        pairs = sender * self.network.num_peers + dests
+        self.traffic.network_batches += int(np.unique(pairs).size)
+        policy = self.delivery_policy
+        if policy is not None:
+            for (src_peer, _), targets in _group_rows(
+                sender, dests, block.target_doc.tolist()
+            ).items():
+                self.traffic.routing_hops += policy.delivery_hops_batch(
+                    src_peer, targets
+                )
+        self._dirty[block.target_doc] = True
+        inbound = block.take(np.argsort(dests, kind="stable"))
+        dests = inbound.dest_peer
+        cuts = np.flatnonzero(dests[1:] != dests[:-1]) + 1
+        starts = [0] + cuts.tolist()
+        ends = cuts.tolist() + [len(inbound)]
+        for lo, hi in zip(starts, ends):
+            self.peers[int(dests[lo])].receive_batch(inbound.take(slice(lo, hi)))
+        return len(inbound)
+
     def _rehome(self, live: np.ndarray) -> None:
         """Move documents off long-absent peers and back home on return."""
         from repro.p2p.guid import document_guid
@@ -630,7 +692,7 @@ class P2PPagerankSimulation:
                 self.peers[new_owner].adopt_documents({doc: state[doc]})
                 self.peers[new_owner].receive_batch(by_doc.get(doc, []))
                 self._peer_of[doc] = new_owner
-                self._dirty.add(doc)  # new owner owes a recompute
+                self._dirty[doc] = True  # new owner owes a recompute
                 self.traffic.migrations += 1
 
         # Return home: a reappeared peer re-acquires its documents.
@@ -649,11 +711,13 @@ class P2PPagerankSimulation:
                 self.peers[pid].adopt_documents(state)
                 self.peers[pid].receive_batch(knowledge)
                 self._peer_of[doc] = pid
-                self._dirty.add(doc)
+                self._dirty[doc] = True
                 self.traffic.migrations += 1
 
     def _mark_dirty(self, updates) -> None:
-        self._dirty.update(u.target_doc for u in updates)
+        dirty = self._dirty
+        for u in updates:
+            dirty[u.target_doc] = True
 
     def _charge_hops(self, sender_peer: int, updates) -> None:
         if self.delivery_policy is None:
@@ -661,3 +725,30 @@ class P2PPagerankSimulation:
         self.traffic.routing_hops += self.delivery_policy.delivery_hops_batch(
             sender_peer, [u.target_doc for u in updates]
         )
+
+
+def _weak_deliver(sim: "P2PPagerankSimulation") -> Callable[[MessageBatch], int]:
+    """``sim``'s fault-delivery callback through a weak reference.  A
+    bound method would make a simulation <-> transport cycle that keeps
+    every finished faulted run, peers and all, alive until a cyclic
+    garbage collection."""
+    ref = weakref.ref(sim)
+
+    def deliver(batch: MessageBatch) -> int:
+        owner = ref()
+        assert owner is not None, "transport outlived its simulation"
+        return owner._fault_deliver(batch)
+
+    return deliver
+
+
+def _group_rows(
+    sender: np.ndarray, dest: np.ndarray, items: Sequence
+) -> Dict[Tuple[int, int], list]:
+    """``items`` grouped per (sender, receiver) batch, batches in
+    first-row order and items in row order — the batches per-sender
+    staging would have produced, since rows run sender by sender."""
+    groups: Dict[Tuple[int, int], list] = {}
+    for key, item in zip(zip(sender.tolist(), dest.tolist()), items):
+        groups.setdefault(key, []).append(item)
+    return groups

@@ -6,6 +6,9 @@ two mid-run crashes, graceful stagnation abort on a black-holed peer,
 and a deterministic `repro faults` table.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -124,6 +127,24 @@ class TestSimulatorUnderFaults:
         assert report.converged
         assert sim.transport.stats.crashes == 1
         assert sim.transport.stats.crash_state_loss > 0
+
+    def test_finished_run_freed_without_cycle_collection(self, graph):
+        # The transport must not keep its simulation alive: with the
+        # cyclic collector off, dropping the last reference frees the
+        # whole run, while the stats stay readable until then.
+        gc.collect()
+        gc.disable()
+        try:
+            sim = P2PPagerankSimulation(
+                graph, make_net(), epsilon=1e-3, faults=FaultPlan(self.SPEC, seed=11)
+            )
+            sim.run(keep_history=False)
+            assert sim.transport.stats.dropped_updates > 0
+            alive = weakref.ref(sim)
+            del sim
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_validation(self, graph):
         with pytest.raises(ValueError, match="requires a fault plan"):

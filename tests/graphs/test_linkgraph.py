@@ -145,6 +145,16 @@ class TestReverse:
         assert np.array_equal(small_powerlaw.out_degrees(), r.in_degrees())
 
 
+class TestInverseOutDegrees:
+    def test_values_cached_and_read_only(self):
+        g = LinkGraph.from_edges([(0, 1), (0, 2), (1, 2)], num_nodes=4)
+        inv = g.inv_out_degrees()
+        assert inv.tolist() == [0.5, 1.0, 0.0, 0.0]  # 2 and 3 dangle
+        assert g.inv_out_degrees() is inv
+        with pytest.raises(ValueError):
+            inv[0] = 1.0
+
+
 class TestScipyExport:
     def test_to_scipy_csr(self):
         g = LinkGraph.from_edges([(0, 1), (1, 0), (1, 2)])

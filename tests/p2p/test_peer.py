@@ -34,6 +34,12 @@ class TestVisibility:
         assert a.visible_value(3) == 2.5
 
 
+class TestSharedGraphState:
+    def test_peers_share_one_inverse_out_degree_array(self, setup):
+        g, _, a, b = setup
+        assert a._inv_out is b._inv_out is g.inv_out_degrees()
+
+
 class TestComputePass:
     def test_first_pass_matches_manual(self, setup):
         g, peer_of, a, _ = setup

@@ -1,6 +1,7 @@
 """Integration tests for :class:`repro.runtime.AsyncPeerRuntime`."""
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -169,6 +170,16 @@ class TestRealtimeMode:
         assert report.quiesced and report.converged
         assert report.max_staleness <= report.epsilon
         assert report.rounds == 0
+
+    def test_dead_peer_task_surfaces_before_timeout(self):
+        # A zero latency fails inside a peer task on its first send.  The
+        # coordinator tick must notice the dead task and re-raise its
+        # error at once, not when the 30 s timeout finally shuts down.
+        runtime = make_runtime(docs=60, peers=4, latency=lambda rng, s, d: 0.0)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="strictly positive"):
+            asyncio.run(runtime.run_realtime(timeout=30.0, tick=0.01))
+        assert time.perf_counter() - start < 5.0
 
     def test_timeout_reports_not_quiesced(self):
         # One-second latency per hop cannot finish inside the budget.

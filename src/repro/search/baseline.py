@@ -23,6 +23,7 @@ __all__ = [
     "SearchOutcome",
     "baseline_search",
     "intersect_sorted_by_rank",
+    "intersect_unique",
     "order_terms",
 ]
 
@@ -52,16 +53,27 @@ class SearchOutcome:
         return int(self.hits.size)
 
 
+def intersect_unique(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted intersection of two duplicate-free doc id arrays.
+
+    Every hit set on the query path is a posting list or a subset of
+    one, and :class:`~repro.search.index.DistributedIndex` keeps each
+    posting list duplicate-free, so the per-input ``unique`` pass of a
+    plain :func:`numpy.intersect1d` (a hash table per call) is skipped.
+    """
+    return np.intersect1d(a, b, assume_unique=True)
+
+
 def intersect_sorted_by_rank(
     index: DistributedIndex, current: np.ndarray, term: int
 ) -> np.ndarray:
     """AND the running result with a term's postings; re-sort by rank.
 
     The boolean operation each index peer performs on arrival of a
-    forwarded hit set (§2.4.3).
+    forwarded hit set (§2.4.3).  ``current`` must be duplicate-free
+    (see :func:`intersect_unique`).
     """
-    postings = index.postings(term)
-    merged = np.intersect1d(current, postings.docs, assume_unique=False)
+    merged = intersect_unique(current, index.postings(term).docs)
     return index.sort_docs_by_rank(merged)
 
 

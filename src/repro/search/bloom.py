@@ -26,6 +26,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro._util import check_fraction
+from repro.search.baseline import intersect_unique
 from repro.search.incremental import DEFAULT_MIN_FORWARD, forward_top_fraction
 from repro.search.index import DistributedIndex
 from repro.search.query import Query
@@ -197,7 +198,7 @@ def bloom_search(
         candidates = postings[bloom.contains_many(postings)]
         traffic += candidates.size * DOC_ID_BYTES
 
-        true_set = np.intersect1d(current, candidates)
+        true_set = intersect_unique(current, candidates)
         false_pos += int(candidates.size - true_set.size)
         current = index.sort_docs_by_rank(true_set)
 

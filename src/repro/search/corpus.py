@@ -116,6 +116,16 @@ class Corpus:
         return order[:k].astype(np.int64)
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a short int array by sort-and-compare, which
+    beats its hash table several times over at document sizes."""
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def synthesize_corpus(
     config: Optional[CorpusConfig] = None,
     *,
@@ -160,13 +170,11 @@ def synthesize_corpus(
         1, rng_terms.lognormal(mu, cfg.sigma_terms_per_doc, cfg.num_documents).astype(np.int64)
     )
 
-    total = int(lengths.sum())
-    draws = np.searchsorted(cdf, rng_terms.random(total), side="left")
-    offsets = np.zeros(cfg.num_documents + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-
+    # One document's draws at a time: the uniform stream is the same as
+    # one bulk draw, without holding every raw draw in memory at once.
     raw_doc_terms = [
-        np.unique(draws[offsets[i] : offsets[i + 1]]) for i in range(cfg.num_documents)
+        _sorted_unique(np.searchsorted(cdf, rng_terms.random(int(n)), side="left"))
+        for n in lengths
     ]
 
     # Document frequency over the raw vocabulary.

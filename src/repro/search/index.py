@@ -17,7 +17,7 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class PostingList:
     """Index entry for one term: documents + their pageranks.
 
     ``docs``/``ranks`` are parallel arrays sorted by descending rank
-    (doc id ascending among equal ranks).
+    (doc id ascending among equal ranks); each document appears once.
     """
 
     term: int
@@ -94,20 +94,39 @@ class DistributedIndex:
         self._ranks = ranks.copy()
         self.index_update_messages = 0
         # GUID hashing dominates maintenance accounting on bulk
-        # refreshes; both maps are stable for the index's lifetime.
+        # refreshes; these maps are stable for the index's lifetime.
         self._term_peer_cache: Dict[int, int] = {}
+        self._term_peers: Optional[np.ndarray] = None
         self._doc_peer_count: Dict[int, int] = {}
 
-        # Invert: term -> docs, one pass over the corpus.
-        buckets: Dict[int, List[int]] = {}
-        for doc, terms in enumerate(corpus.doc_terms):
-            for t in terms.tolist():
-                buckets.setdefault(t, []).append(doc)
-        self._postings: Dict[int, PostingList] = {}
-        for term, docs in buckets.items():
-            docs_arr = np.asarray(docs, dtype=np.int64)
-            self._postings[term] = self._sorted_posting(term, docs_arr)
-        self.index_update_messages += sum(len(p) for p in self._postings.values())
+        # A document listing a term twice is posted once: posting lists
+        # are duplicate-free, which the query path's intersection relies on.
+        doc_terms = []
+        for terms in corpus.doc_terms:
+            terms = np.asarray(terms, dtype=np.int64)
+            if np.any(terms[1:] <= terms[:-1]):
+                terms = np.unique(terms)
+            if terms.size and terms[0] < 0:
+                raise ValueError(f"term ids must be >= 0, got {int(terms[0])}")
+            doc_terms.append(terms)
+
+        # Invert: term -> docs, a counting sort over the documents.
+        num_terms = max((int(t[-1]) + 1 for t in doc_terms if t.size), default=0)
+        df = np.zeros(num_terms, dtype=np.int64)
+        for terms in doc_terms:
+            df[terms] += 1
+        starts = np.zeros(num_terms + 1, dtype=np.int64)
+        np.cumsum(df, out=starts[1:])
+        flat = np.empty(int(starts[-1]), dtype=np.int64)
+        fill = starts[:-1].copy()
+        for doc, terms in enumerate(doc_terms):
+            flat[fill[terms]] = doc
+            fill[terms] += 1
+        self._postings: Dict[int, PostingList] = {
+            term: self._sorted_posting(term, flat[starts[term] : starts[term + 1]])
+            for term in np.flatnonzero(df).tolist()
+        }
+        self.index_update_messages += int(flat.size)
 
     # ------------------------------------------------------------------
     def _sorted_posting(self, term: int, docs: np.ndarray) -> PostingList:
@@ -168,6 +187,17 @@ class DistributedIndex:
             raise IndexError(f"doc {doc} out of range")
         return {self.peer_of_term(int(t)) for t in self.corpus.doc_terms[doc]}
 
+    def _term_peer_array(self) -> np.ndarray:
+        """``peer_of_term`` for every posted term, as one array indexed
+        by term id (built on first use)."""
+        if self._term_peers is None:
+            size = max(self._postings, default=-1) + 1
+            peers = np.zeros(size, dtype=np.int64)
+            for term in self._postings:
+                peers[term] = self.peer_of_term(term)
+            self._term_peers = peers
+        return self._term_peers
+
     def maintenance_messages(self, changed_docs) -> int:
         """Total index-update messages to refresh the pagerank column
         for ``changed_docs`` (one message per affected index peer per
@@ -177,7 +207,12 @@ class DistributedIndex:
             doc = int(d)
             count = self._doc_peer_count.get(doc)
             if count is None:
-                count = len(self.index_peers_of_doc(doc))
+                if not 0 <= doc < self.corpus.num_documents:
+                    raise IndexError(f"doc {doc} out of range")
+                peers = self._term_peer_array()[self.corpus.doc_terms[doc]]
+                count = int(
+                    np.count_nonzero(np.bincount(peers, minlength=self.num_peers))
+                )
                 self._doc_peer_count[doc] = count
             total += count
         return total

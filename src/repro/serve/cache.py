@@ -19,7 +19,9 @@ computed against ranks more than one refresh interval out of date.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
+
+import numpy as np
 
 __all__ = ["CachedResult", "ResultCache", "ResultCacheStats"]
 
@@ -76,8 +78,9 @@ class ResultCache:
         :class:`~repro.p2p.cache.LocationCache` policy).  ``None`` is
         unbounded.
 
-    Keys are the query's term tuple *in routing order* plus the top-x%
-    fraction, because both change the answer (docs/SERVING.md).
+    Keys are opaque to the cache; the serving session keys by the
+    query's term tuple as issued.  A session has one routing order
+    and one top-x% fraction, so the terms alone determine the answer.
     """
 
     def __init__(self, ttl: float, *, capacity: Optional[int] = None) -> None:
@@ -113,14 +116,24 @@ class ResultCache:
         self.stats.hits += 1
         return entry
 
-    def put(self, key: Tuple, hits: Tuple[int, ...], now: float, rank_version: int) -> None:
-        """Record a freshly computed result under the current version."""
+    def put(
+        self,
+        key: Tuple,
+        hits: Union[Tuple[int, ...], np.ndarray],
+        now: float,
+        rank_version: int,
+    ) -> None:
+        """Record a freshly computed result under the current version.
+
+        ``hits`` is a tuple of ints (kept as is) or a doc id array
+        (converted once).
+        """
         if self.capacity is not None and key not in self._entries:
             while len(self._entries) >= self.capacity:
                 oldest = next(iter(self._entries))
                 del self._entries[oldest]
         self._entries[key] = CachedResult(
-            hits=tuple(int(d) for d in hits),
+            hits=tuple(hits.tolist()) if isinstance(hits, np.ndarray) else tuple(hits),
             rank_version=int(rank_version),
             expires_at=now + self.ttl,
         )

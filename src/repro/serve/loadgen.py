@@ -99,11 +99,15 @@ class LoadGenerator:
         )
         weights = np.arange(1, len(self.candidates) + 1, dtype=np.float64)
         weights = weights ** -float(zipf_exponent)
-        self._weights = weights / weights.sum()
+        # ``Generator.choice(n, p=weights)`` rebuilds this CDF on every
+        # call.  Built once, a draw is one uniform and one binary search,
+        # exactly what ``choice`` does, so the seeded stream is the same.
+        cdf = np.cumsum(weights / weights.sum())
+        self._cdf = cdf / cdf[-1]
 
     def sample(self, time: float) -> QueryArrival:
         """Draw one arrival at ``time`` (advances the seeded stream)."""
-        idx = int(self._rng.choice(len(self.candidates), p=self._weights))
+        idx = int(self._cdf.searchsorted(self._rng.random(), side="right"))
         portal = int(self._rng.integers(self.num_peers))
         return QueryArrival(time=float(time), query=self.candidates[idx], portal_peer=portal)
 

@@ -189,7 +189,7 @@ class QueryRouter:
         return RoutedQuery(
             terms=tuple(int(t) for t in terms),
             peers=tuple(peers),
-            hits=tuple(int(d) for d in outcome.hits),
+            hits=tuple(outcome.hits.tolist()),
             latency=latency,
             traffic_doc_ids=outcome.traffic_doc_ids,
             dht_hops=total_hops,

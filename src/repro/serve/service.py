@@ -29,8 +29,8 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -290,16 +290,21 @@ def _corpus_config(docs: int) -> CorpusConfig:
 _FINISH, _ARRIVE = 0, 1
 
 
-@dataclass(order=True)
-class _Event:
+class _Event(NamedTuple):
+    """A heap entry, ordered by ``(time, kind, seq)``.
+
+    Being a tuple, the heap compares events in C; ``seq`` is unique, so
+    no field after it is ever compared.
+    """
+
     time: float
     kind: int
     seq: int
-    arrival: Optional[QueryArrival] = field(compare=False, default=None)
-    attempt: int = field(compare=False, default=1)
-    record: Optional[QueryRecord] = field(compare=False, default=None)
-    hits: Tuple[int, ...] = field(compare=False, default=())
-    version: int = field(compare=False, default=0)
+    arrival: Optional[QueryArrival] = None
+    attempt: int = 1
+    record: Optional[QueryRecord] = None
+    hits: Tuple[int, ...] = ()
+    version: int = 0
 
 
 class ServeSession:
@@ -527,26 +532,27 @@ class ServeSession:
         start = max(now, self._peer_free.get(entry_peer, 0.0))
         finish = start + routed.latency
         self._peer_free[entry_peer] = finish
-        record_finish = _Event(
-            time=finish,
-            kind=_FINISH,
-            seq=self._next_seq(),
-            arrival=arrival,
-            attempt=event.attempt,
-            hits=routed.hits,
-            version=self.rank_version,
+        self._push(
+            _Event(
+                time=finish,
+                kind=_FINISH,
+                seq=self._next_seq(),
+                arrival=arrival,
+                attempt=event.attempt,
+                record=QueryRecord(
+                    arrival_time=arrival.time,
+                    finish_time=finish,
+                    latency=finish - arrival.time,
+                    attempts=event.attempt,
+                    cache_hit=False,
+                    dropped=False,
+                    num_hits=len(routed.hits),
+                    entry_peer=entry_peer,
+                ),
+                hits=routed.hits,
+                version=self.rank_version,
+            )
         )
-        record_finish.record = QueryRecord(
-            arrival_time=arrival.time,
-            finish_time=finish,
-            latency=finish - arrival.time,
-            attempts=event.attempt,
-            cache_hit=False,
-            dropped=False,
-            num_hits=len(routed.hits),
-            entry_peer=entry_peer,
-        )
-        self._push(record_finish)
 
     def _handle_finish(self, event: _Event) -> None:
         record = event.record

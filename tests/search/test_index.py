@@ -133,6 +133,25 @@ class TestMaintenance:
         with pytest.raises(IndexError):
             idx.index_peers_of_doc(10**6)
 
+    @pytest.mark.parametrize("doc", [-1, 10**6])
+    def test_maintenance_bounds(self, index, doc):
+        # A negative id must not wrap around to the last document.
+        idx, _ = index
+        with pytest.raises(IndexError):
+            idx.maintenance_messages([0, doc])
+        with pytest.raises(IndexError):
+            idx.index_peers_of_doc(doc)
+
+    def test_maintenance_counts_distinct_peers_per_doc(self, index, tiny_corpus):
+        idx, _ = index
+        docs = list(range(tiny_corpus.num_documents))
+        expected = sum(
+            len({idx.peer_of_term(int(t)) for t in tiny_corpus.doc_terms[d]})
+            for d in docs
+        )
+        assert idx.maintenance_messages(docs) == expected
+        assert idx.maintenance_messages(docs) == expected  # cached
+
 
 class TestSortDocsByRank:
     def test_sorts_descending_with_stable_ties(self, index):

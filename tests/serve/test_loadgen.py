@@ -1,5 +1,8 @@
 """Tests of the seeded Zipf load generator (docs/SERVING.md)."""
 
+import copy
+
+import numpy as np
 import pytest
 
 from repro.search.corpus import CorpusConfig, synthesize_corpus
@@ -73,3 +76,21 @@ class TestLoadGenerator:
             _gen(corpus).open_arrivals(qps=0.0, duration=1.0)
         with pytest.raises(ValueError):
             _gen(corpus).open_arrivals(qps=1.0, duration=0.0)
+
+    @pytest.mark.parametrize("zipf_exponent", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_sample_matches_generator_choice(self, corpus, seed, zipf_exponent):
+        # The precomputed CDF must reproduce the stream of
+        # ``Generator.choice(n, p=weights)`` draw for draw, so seeded
+        # query streams do not move.
+        gen = _gen(corpus, seed=seed, zipf_exponent=zipf_exponent)
+        twin = copy.deepcopy(gen)
+        n = len(gen.candidates)
+        weights = np.arange(1, n + 1, dtype=np.float64) ** -zipf_exponent
+        weights /= weights.sum()
+        for _ in range(500):
+            arrival = gen.sample(1.0)
+            idx = int(twin._rng.choice(n, p=weights))
+            portal = int(twin._rng.integers(twin.num_peers))
+            assert arrival.query == gen.candidates[idx]
+            assert arrival.portal_peer == portal

@@ -1,5 +1,6 @@
 """Tests of the serving layer's result cache (docs/SERVING.md)."""
 
+import numpy as np
 import pytest
 
 from repro.serve.cache import ResultCache
@@ -15,6 +16,15 @@ class TestResultCache:
         assert entry.hits == (3, 1, 2)
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
+
+    def test_put_accepts_array_or_tuple(self):
+        cache = ResultCache(ttl=5.0)
+        cache.put(("a",), np.array([3, 1, 2], dtype=np.int64), now=0.0, rank_version=0)
+        cache.put(("t",), (3, 1, 2), now=0.0, rank_version=0)
+        for key in (("a",), ("t",)):
+            hits = cache.get(key, now=0.0, rank_version=0).hits
+            assert hits == (3, 1, 2)
+            assert all(type(d) is int for d in hits)
 
     def test_ttl_expiry(self):
         cache = ResultCache(ttl=2.0)

@@ -12,6 +12,7 @@ import pytest
 
 from repro import obs
 from repro.serve import ServeConfig, ServeSession, run_serve
+from repro.serve.service import _ARRIVE, _FINISH, _Event
 
 BASE = dict(
     docs=120,
@@ -172,3 +173,44 @@ class TestLifecycle:
     def test_report_digest_is_hex_sha256(self, report):
         assert len(report.digest) == 64
         int(report.digest, 16)
+
+
+class TestEventOrder:
+    def _drained(self, events):
+        session = ServeSession(_config(duration=1.0, qps=5.0))
+        order = []
+        session._handle_arrival = lambda e: order.append(("arrive", e.seq))
+        session._handle_finish = lambda e: order.append(("finish", e.seq))
+        for event in events:
+            session._push(event)
+        session._drain(float("inf"))
+        return order
+
+    def test_finish_before_arrive_at_same_time_then_seq(self):
+        events = [
+            _Event(time=1.0, kind=_ARRIVE, seq=1),
+            _Event(time=1.0, kind=_FINISH, seq=4),
+            _Event(time=1.0, kind=_ARRIVE, seq=2),
+            _Event(time=0.5, kind=_ARRIVE, seq=5),
+            _Event(time=1.0, kind=_FINISH, seq=3),
+        ]
+        assert self._drained(events) == [
+            ("arrive", 5), ("finish", 3), ("finish", 4),
+            ("arrive", 1), ("arrive", 2),
+        ]
+
+    def test_payload_fields_never_compared(self):
+        # Payloads that refuse comparison must not matter: (time, kind,
+        # seq) is unique, so ordering stops at seq.
+        class Opaque:
+            def __lt__(self, other):
+                raise AssertionError("payload compared")
+
+            __gt__ = __le__ = __ge__ = __lt__
+
+        events = [
+            _Event(time=2.0, kind=_ARRIVE, seq=seq, arrival=Opaque(), record=Opaque())
+            for seq in (3, 1, 2)
+        ]
+        assert self._drained(events) == [("arrive", 1), ("arrive", 2), ("arrive", 3)]
+

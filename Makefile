@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint typecheck docs-check bench bench-smoke bench-full perfbench-selftest ablation-async soak-smoke sanitize-smoke parallel-smoke serve-smoke examples obs-demo clean
+.PHONY: install test lint typecheck docs-check bench bench-smoke bench-full perfbench-selftest ablation-async soak-smoke reliability-smoke sanitize-smoke parallel-smoke serve-smoke examples obs-demo clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -58,6 +58,13 @@ ablation-async:
 # (docs/PROTOCOL.md §15).  The CI soak-smoke job runs the same line.
 soak-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro soak --docs 120 --peers 6 --seeds 0 1 2 --crashes 2 --drop 0.05
+
+# Reliable-delivery smoke: the golden simulator and runtime runs pinned
+# across the shared flight table (docs/PROTOCOL.md §13.1, §14.3), then
+# the fault-injection and crash-recovery suites.  The CI soak-smoke job
+# runs the same line after the soak.
+reliability-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/regression/test_reliability_golden.py tests/faults tests/recovery -q
 
 # Concurrency-sanitizer smoke: the runtime differential suite under the
 # armed happens-before detector, then the packaged scenario with K=3

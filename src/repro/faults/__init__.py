@@ -23,6 +23,8 @@ Entry points:
 * :class:`FaultPlan` — the seeded oracle engines consult.
 * :class:`ReliabilityConfig` / :class:`ReliableTransport` — ack/retry
   delivery used by :class:`repro.simulation.engine.P2PPagerankSimulation`.
+* :class:`FlightTable` / :class:`Flight` — the ack/retry/abandon state
+  machine and abandonment ledger both engines drive.
 * :func:`run_fault_experiment` — the `repro faults` Table-1-style
   convergence-under-loss sweep.
 """
@@ -37,6 +39,8 @@ from repro.faults.plan import FaultPlan, FaultSpec, Partition, SendFate
 from repro.faults.transport import (
     FaultDiagnostics,
     FaultStats,
+    Flight,
+    FlightTable,
     ReliabilityConfig,
     ReliableTransport,
     StagnationDetector,
@@ -48,6 +52,8 @@ __all__ = [
     "Partition",
     "SendFate",
     "ReliabilityConfig",
+    "Flight",
+    "FlightTable",
     "ReliableTransport",
     "FaultStats",
     "StagnationDetector",

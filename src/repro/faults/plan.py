@@ -34,13 +34,16 @@ experimentally against this plan plus the reliable-delivery layer in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro._util import as_generator, check_probability
 from repro._util.rng import SeedLike
+
+if TYPE_CHECKING:
+    from repro.faults.transport import FaultStats
 
 __all__ = ["Partition", "FaultSpec", "SendFate", "FaultPlan"]
 
@@ -259,8 +262,8 @@ class FaultPlan:
     def roll_send(self, pass_index: int, sender: int, receiver: int) -> SendFate:
         """Draw the fate of one batch send attempt.
 
-        Partition checks are the caller's job (:meth:`link_blocked`);
-        this draws only the randomised drop/duplicate/delay outcome.
+        Partition checks are the caller's job (:meth:`send_copies` does
+        both); this draws only the randomised drop/duplicate/delay outcome.
         """
         s = self.spec
         if not (s.drop_rate or s.duplicate_rate or s.delay_rate):
@@ -281,6 +284,33 @@ class FaultPlan:
             delay=delay,
             duplicate_delay=dup_delay,
         )
+
+    def send_copies(
+        self,
+        pass_index: int,
+        sender: int,
+        receiver: int,
+        updates: int,
+        stats: FaultStats,
+    ) -> Tuple[int, ...]:
+        """One send attempt of a batch of ``updates`` updates, as both
+        transports take it: the delays, in passes, of the copies that
+        reach the wire (none if blocked or dropped, two if duplicated),
+        with the partition block, drop, duplicate and delayed copies
+        counted into ``stats``."""
+        if self.link_blocked(pass_index, sender, receiver):
+            stats.partition_blocked_sends += 1
+            return ()
+        fate = self.roll_send(pass_index, sender, receiver)
+        if fate.dropped:
+            stats.dropped_updates += updates
+            return ()
+        delays = (fate.delay,)
+        if fate.duplicated:
+            stats.duplicated_updates += updates
+            delays += (fate.duplicate_delay,)
+        stats.delayed_updates += updates * sum(d > 0 for d in delays)
+        return delays
 
     def roll_ack_drop(self, pass_index: int) -> bool:
         """Draw whether a delivered batch's acknowledgement is lost."""

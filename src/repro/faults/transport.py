@@ -19,6 +19,9 @@ the missing layer, the classic positive-ack protocol:
   older versions) makes them no-ops, and the transport counts how many
   updates that suppression absorbed.
 
+The flight bookkeeping is :class:`FlightTable`, shared with the
+runtime's :class:`~repro.runtime.reliability.FlightTracker`.
+
 Fault decisions (drop/duplicate/delay/partition) come from the seeded
 :class:`~repro.faults.plan.FaultPlan`; the transport itself is
 deterministic given the plan and the engine's call order.
@@ -33,8 +36,9 @@ instead of spinning to the pass cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+import heapq
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.p2p.messages import MessageBatch
 from repro.faults.plan import FaultPlan
@@ -42,6 +46,8 @@ from repro.faults.plan import FaultPlan
 __all__ = [
     "ReliabilityConfig",
     "FaultStats",
+    "Flight",
+    "FlightTable",
     "ReliableTransport",
     "StagnationDetector",
     "FaultDiagnostics",
@@ -105,7 +111,9 @@ class FaultStats:
 
     All message quantities are update counts (the catalogue's
     *messages* unit); ``retries`` and ``partition_blocked_sends`` count
-    batch transfers, ``acks``/``ack_drops`` count acknowledgements.
+    batch transfers, ``acks_sent``/``acks_dropped`` count
+    acknowledgements.  The runtime's in-memory transport fills the
+    send-fate fields (drops, duplicates, delays, blocks, ack drops).
     """
 
     dropped_updates: int = 0
@@ -126,89 +134,228 @@ class FaultStats:
 
 
 class _FaultInstruments:
-    """Registry handles for the fault layer's emissions (shared no-op
-    singletons under the default disabled registry).  Catalogued in
-    docs/OBSERVABILITY.md §4."""
-
-    __slots__ = (
-        "dropped", "duplicated", "delayed", "acks", "ack_drops", "retries",
-        "suppressed", "blocked", "abandoned", "parked", "parked_resent",
-        "crashes", "state_loss", "republished", "aborts",
-    )
+    """Registry counters mirroring :class:`FaultStats` field for field
+    (shared no-op singletons under the default disabled registry).
+    Catalogued in docs/OBSERVABILITY.md §4."""
 
     def __init__(self, reg) -> None:
-        self.dropped = reg.counter(
-            "faults.messages_dropped", unit="messages",
-            description="updates lost to injected message drops",
-        )
-        self.duplicated = reg.counter(
-            "faults.messages_duplicated", unit="messages",
-            description="updates delivered twice by injected duplication",
-        )
-        self.delayed = reg.counter(
-            "faults.messages_delayed", unit="messages",
-            description="updates whose delivery was postponed (reordering)",
-        )
-        self.acks = reg.counter(
-            "faults.ack_messages", unit="acks",
-            description="batch acknowledgements sent by receivers",
-        )
-        self.ack_drops = reg.counter(
-            "faults.acks_dropped", unit="acks",
-            description="acknowledgements lost in transit (forces retransmit)",
-        )
-        self.retries = reg.counter(
-            "faults.retries", unit="batches",
-            description="batch retransmissions after ack timeout",
-        )
-        self.suppressed = reg.counter(
-            "faults.redeliveries_suppressed", unit="messages",
-            description="duplicate updates absorbed by receiver version dedup",
-        )
-        self.blocked = reg.counter(
-            "faults.partition_blocked_sends", unit="batches",
-            description="send attempts blocked by an active link partition",
-        )
-        self.abandoned = reg.counter(
-            "faults.abandoned_updates", unit="messages",
-            description="updates whose flight exhausted the retry budget",
-        )
-        self.parked = reg.counter(
-            "faults.parked_updates", unit="messages",
-            description="budget-exhausted updates parked into store-and-resend",
-        )
-        self.parked_resent = reg.counter(
-            "faults.parked_resent", unit="messages",
-            description="parked updates relaunched after their blockage cleared",
-        )
-        self.crashes = reg.counter(
-            "faults.crashes", unit="peers",
-            description="injected peer crashes (volatile state wiped)",
-        )
-        self.state_loss = reg.counter(
-            "faults.crash_state_loss", unit="messages",
-            description="in-flight updates wiped by peer crashes",
-        )
-        self.republished = reg.counter(
-            "faults.reboot_republished", unit="messages",
-            description="updates re-announced by rebooted peers (crash recovery)",
-        )
-        self.aborts = reg.counter(
-            "faults.stagnation_aborts", unit="runs",
-            description="runs aborted by the residual-stagnation detector",
-        )
+        self._published = FaultStats()
+        self._counters = {
+            "dropped_updates": reg.counter(
+                "faults.messages_dropped", unit="messages",
+                description="updates lost to injected message drops",
+            ),
+            "duplicated_updates": reg.counter(
+                "faults.messages_duplicated", unit="messages",
+                description="updates delivered twice by injected duplication",
+            ),
+            "delayed_updates": reg.counter(
+                "faults.messages_delayed", unit="messages",
+                description="updates whose delivery was postponed (reordering)",
+            ),
+            "acks_sent": reg.counter(
+                "faults.ack_messages", unit="acks",
+                description="batch acknowledgements sent by receivers",
+            ),
+            "acks_dropped": reg.counter(
+                "faults.acks_dropped", unit="acks",
+                description="acknowledgements lost in transit (forces retransmit)",
+            ),
+            "retries": reg.counter(
+                "faults.retries", unit="batches",
+                description="batch retransmissions after ack timeout",
+            ),
+            "redeliveries_suppressed": reg.counter(
+                "faults.redeliveries_suppressed", unit="messages",
+                description="duplicate updates absorbed by receiver version dedup",
+            ),
+            "partition_blocked_sends": reg.counter(
+                "faults.partition_blocked_sends", unit="batches",
+                description="send attempts blocked by an active link partition",
+            ),
+            "abandoned_updates": reg.counter(
+                "faults.abandoned_updates", unit="messages",
+                description="updates whose flight exhausted the retry budget",
+            ),
+            "parked_updates": reg.counter(
+                "faults.parked_updates", unit="messages",
+                description="budget-exhausted updates parked into store-and-resend",
+            ),
+            "parked_resent": reg.counter(
+                "faults.parked_resent", unit="messages",
+                description="parked updates relaunched after their blockage cleared",
+            ),
+            "crashes": reg.counter(
+                "faults.crashes", unit="peers",
+                description="injected peer crashes (volatile state wiped)",
+            ),
+            "crash_state_loss": reg.counter(
+                "faults.crash_state_loss", unit="messages",
+                description="in-flight updates wiped by peer crashes",
+            ),
+            "reboot_republished": reg.counter(
+                "faults.reboot_republished", unit="messages",
+                description="updates re-announced by rebooted peers (crash recovery)",
+            ),
+            "stagnation_aborts": reg.counter(
+                "faults.stagnation_aborts", unit="runs",
+                description="runs aborted by the residual-stagnation detector",
+            ),
+        }
+
+    def publish(self, stats: FaultStats) -> None:
+        """Add what ``stats`` gained since the last call to the counters."""
+        for name, counter in self._counters.items():
+            counter.inc(getattr(stats, name) - getattr(self._published, name))
+        self._published = replace(stats)
 
 
 @dataclass
-class _Flight:
-    """One batch transfer awaiting acknowledgement."""
+class Flight:
+    """One batch transfer awaiting acknowledgement.  ``next_retry`` is
+    in the owning table's clock; ``delivered_once`` lets the simulator
+    count later copies as suppressed redeliveries."""
 
-    fid: int
+    flight_id: int
     batch: MessageBatch
-    first_sent_pass: int
     attempts: int = 1
-    next_retry_pass: int = 0
+    next_retry: float = 0
     delivered_once: bool = False
+
+
+class FlightTable:
+    """Unacked flights, their retry deadlines, and the abandonment ledger.
+
+    The one ack/retry/abandon state machine of both reliable-delivery
+    paths (docs/PROTOCOL.md §13.1, §14.3): :class:`ReliableTransport`
+    drives a table in passes, each runtime node's
+    :class:`~repro.runtime.reliability.FlightTracker` one on the runtime
+    clock.  ``time_unit`` is the clock length of one pass.
+
+    The ledger holds, per ``(sender, receiver)`` link, the updates and
+    ``|value|`` mass of abandoned flights; they block convergence until
+    :meth:`settle` or :meth:`forgive` takes them off.
+    """
+
+    def __init__(self, config: ReliabilityConfig, *, time_unit: float = 1) -> None:
+        if time_unit <= 0:
+            raise ValueError(f"time_unit must be > 0, got {time_unit}")
+        self.config = config
+        self.time_unit = time_unit
+        self._flights: Dict[int, Flight] = {}
+        self._next_id = 0
+        self.unacked_updates = 0
+        self.retries = 0
+        self._ledger: Dict[Tuple[int, int], Tuple[int, float]] = {}
+
+    @property
+    def unacked_flights(self) -> int:
+        return len(self._flights)
+
+    @property
+    def abandoned_updates(self) -> int:
+        return sum(n for n, _ in self._ledger.values())
+
+    @property
+    def abandoned_mass(self) -> float:
+        return sum((mass for _, mass in self._ledger.values()), 0.0)
+
+    def ledger(self) -> Dict[Tuple[int, int], int]:
+        """Abandoned updates per ``(sender, receiver)`` link."""
+        return {key: n for key, (n, _) in self._ledger.items()}
+
+    def __contains__(self, flight_id: int) -> bool:
+        return flight_id in self._flights
+
+    def __iter__(self) -> Iterator[Flight]:
+        return iter(self._flights.values())
+
+    def _arm(self, flight: Flight, now: float) -> None:
+        delay = self.config.retry_delay(flight.attempts)
+        flight.next_retry = now + delay * self.time_unit
+
+    def launch(self, batch: MessageBatch, now: float) -> Flight:
+        """Register a freshly staged batch as a new flight."""
+        flight = Flight(self._next_id, batch)
+        self._next_id += 1
+        self._arm(flight, now)
+        self._flights[flight.flight_id] = flight
+        self.unacked_updates += len(batch)
+        return flight
+
+    def ack(self, flight_id: int) -> bool:
+        """Clear an acknowledged flight; False if it was not live."""
+        flight = self._flights.get(flight_id)
+        if flight is not None:
+            self._drop(flight)
+        return flight is not None
+
+    def _drop(self, flight: Flight) -> None:
+        del self._flights[flight.flight_id]
+        self.unacked_updates -= len(flight.batch)
+
+    def due(self, now: float) -> Tuple[List[Flight], List[Flight]]:
+        """The flights whose deadline has passed, oldest first, split
+        into ``(retransmit, abandoned)``.  A retransmit has ``attempts``
+        incremented and its deadline re-armed; a flight over the retry
+        budget leaves the table for the ledger."""
+        retransmit: List[Flight] = []
+        abandoned: List[Flight] = []
+        for flight in list(self._flights.values()):
+            if flight.next_retry > now:
+                continue
+            if flight.attempts > self.config.max_retries:
+                self._drop(flight)
+                self._book(flight.batch, 1)
+                abandoned.append(flight)
+            else:
+                flight.attempts += 1
+                self._arm(flight, now)
+                retransmit.append(flight)
+        self.retries += len(retransmit)
+        return retransmit, abandoned
+
+    def next_due(self) -> Optional[float]:
+        """Earliest retry/abandon deadline among live flights."""
+        if not self._flights:
+            return None
+        return min(f.next_retry for f in self._flights.values())
+
+    def wipe(self, sender: Optional[int] = None) -> int:
+        """Crash semantics: drop the live flights (of ``sender`` only,
+        if given) without abandoning them.  Returns the updates lost."""
+        lost = 0
+        for flight in list(self._flights.values()):
+            if sender in (None, flight.batch.sender_peer):
+                self._drop(flight)
+                lost += len(flight.batch)
+        return lost
+
+    def _book(self, batch: MessageBatch, sign: int) -> None:
+        key = (batch.sender_peer, batch.receiver_peer)
+        n, mass = self._ledger.get(key, (0, 0.0))
+        n += sign * len(batch)
+        mass += sign * sum(abs(u.value) for u in batch)
+        if n > 0:
+            self._ledger[key] = (n, mass)
+        else:
+            self._ledger.pop(key, None)
+
+    def settle(self, batch: MessageBatch) -> None:
+        """Take an abandoned batch off the ledger: it is sent again."""
+        self._book(batch, -1)
+
+    def forgive(
+        self, *, sender: Optional[int] = None, receiver: Optional[int] = None
+    ) -> int:
+        """Clear the ledger of every link from ``sender`` and/or into
+        ``receiver``: a re-publish has superseded those updates.
+        Returns the number of updates forgiven."""
+        forgiven = 0
+        for s, r in list(self._ledger):
+            if sender in (None, s) and receiver in (None, r):
+                forgiven += self._ledger.pop((s, r))[0]
+        return forgiven
 
 
 @dataclass
@@ -224,7 +371,6 @@ class _Parked:
     """
 
     batch: MessageBatch
-    parked_at_pass: int
     undeliverable: bool = False
 
 
@@ -239,8 +385,10 @@ class FaultDiagnostics:
     stagnant_passes:
         Consecutive quiescent-but-undeliverable passes observed.
     black_holed_links:
-        ``((sender, receiver), undelivered_updates)`` per link whose
-        flights exhausted the retry budget.
+        ``((sender, receiver), undelivered_updates)`` per link that
+        holds undelivered updates: those on the abandonment ledger
+        (flights that exhausted the retry budget) plus those in
+        flights still unacked at abort time.
     black_holed_peers:
         Likely-culprit peers: those incident to at least half of the
         black-holed links (a fully partitioned peer touches all of its
@@ -332,6 +480,10 @@ class StagnationDetector:
 class ReliableTransport:
     """Ack/retry/backoff delivery of message batches under a fault plan.
 
+    Flights live in a pass-timed :class:`FlightTable`; this class adds
+    delayed copies, ack loss, duplicate-suppression accounting, §3.1
+    parking of abandoned batches and the :meth:`diagnose` report.
+
     Parameters
     ----------
     plan:
@@ -348,7 +500,7 @@ class ReliableTransport:
         Metrics registry (defaults to the process registry's no-ops).
 
     Per-pass delivery counts are exposed as ``pass_delivered`` /
-    ``pass_resent`` / ``pass_batches`` — reset by :meth:`begin_pass` —
+    ``pass_resent`` / ``pass_attempts`` — reset by :meth:`begin_pass` —
     so the engine can fold them into its traffic summary and
     :class:`~repro.core.convergence.PassStats`.
     """
@@ -370,24 +522,17 @@ class ReliableTransport:
         self._deliver = deliver
         self.stats = FaultStats()
         self._obs = _FaultInstruments(registry)
-        self._flights: Dict[int, _Flight] = {}
-        self._unacked = 0  # updates across ``_flights``
-        self._next_fid = 0
-        # (due_pass, seq, flight, attempt_no) — copies travelling the
-        # network, delivered in deterministic (due, seq) order.
-        self._delayed: List[Tuple[int, int, _Flight, int]] = []
+        self._table = FlightTable(config)
+        # Heap of (due_pass, seq, flight, attempt_no) — copies travelling
+        # the network, delivered in deterministic (due, seq) order.
+        self._delayed: List[Tuple[int, int, Flight, int]] = []
         self._delay_seq = 0
-        self._black_holed: Dict[Tuple[int, int], int] = {}
-        self._abandoned_mass = 0.0
         # Store-and-resend holding area for budget-exhausted batches,
         # keyed by a monotonically increasing park id (FIFO relaunch).
         self._parked: Dict[int, _Parked] = {}
         self._next_park = 0
-        self._healed_updates = 0
-        self._healed_mass = 0.0
         self.pass_delivered = 0
         self.pass_resent = 0
-        self.pass_batches = 0
         self.pass_attempts = 0
 
     # ------------------------------------------------------------------
@@ -396,11 +541,11 @@ class ReliableTransport:
     @property
     def unacked_updates(self) -> int:
         """Updates in flights still awaiting acknowledgement."""
-        return self._unacked
+        return self._table.unacked_updates
 
     @property
     def unacked_flights(self) -> int:
-        return len(self._flights)
+        return self._table.unacked_flights
 
     @property
     def abandoned_updates(self) -> int:
@@ -408,14 +553,10 @@ class ReliableTransport:
 
     @property
     def undeliverable_updates(self) -> int:
-        """Abandoned-minus-healed plus still-unacked updates
-        (convergence blockers).  A parked batch counts until its
-        blockage clears and it relaunches."""
-        return (
-            self.stats.abandoned_updates
-            - self._healed_updates
-            + self.unacked_updates
-        )
+        """Ledger plus still-unacked updates (convergence blockers).
+        A parked batch counts until its blockage clears and it
+        relaunches, or its rebooted sender re-announces."""
+        return self._table.abandoned_updates + self._table.unacked_updates
 
     @property
     def parked_batches(self) -> int:
@@ -425,17 +566,22 @@ class ReliableTransport:
     def black_holed_links(self) -> Dict[Tuple[int, int], int]:
         """Links whose flights exhausted the retry budget, with the
         number of updates abandoned on each."""
-        return dict(self._black_holed)
+        return self._table.ledger()
 
     # ------------------------------------------------------------------
     # Pass lifecycle
     # ------------------------------------------------------------------
     def begin_pass(self, pass_index: int) -> None:
-        """Reset the per-pass delivery counters."""
+        """Reset the per-pass delivery counters; publish metrics."""
         self.pass_delivered = 0
         self.pass_resent = 0
-        self.pass_batches = 0
         self.pass_attempts = 0
+        self.publish_metrics()
+
+    def publish_metrics(self) -> None:
+        """Bring the ``faults.*`` registry counters level with
+        :attr:`stats` (also called once when the run ends)."""
+        self._obs.publish(self.stats)
 
     def tick(self, pass_index: int, live) -> None:
         """Deliver due delayed copies, then retransmit timed-out flights.
@@ -443,23 +589,15 @@ class ReliableTransport:
         Call once per pass, after ``begin_pass`` and before the compute
         step (the transport's analogue of §3.1's resend-first rule).
         """
-        if self._delayed:
-            due = [e for e in self._delayed if e[0] <= pass_index]
-            if due:
-                self._delayed = [e for e in self._delayed if e[0] > pass_index]
-                for _, _, flight, attempt in sorted(due, key=lambda e: (e[0], e[1])):
-                    self._deliver_copy(pass_index, flight, attempt, live)
+        while self._delayed and self._delayed[0][0] <= pass_index:
+            _, _, flight, attempt = heapq.heappop(self._delayed)
+            self._deliver_copy(pass_index, flight, attempt, live)
 
-        for fid in list(self._flights):
-            flight = self._flights.get(fid)
-            if flight is None or flight.next_retry_pass > pass_index:
-                continue
-            if flight.attempts > self.config.max_retries:
-                self._abandon(flight, pass_index, live)
-                continue
-            flight.attempts += 1
-            self.stats.retries += 1
-            self._obs.retries.inc()
+        retransmit, abandoned = self._table.due(pass_index)
+        for flight in abandoned:
+            self._park(flight.batch, pass_index, live)
+        self.stats.retries += len(retransmit)
+        for flight in retransmit:
             self._attempt(pass_index, flight, live)
 
         self._service_parked(pass_index, live)
@@ -473,10 +611,7 @@ class ReliableTransport:
         for park_id in sorted(self._parked):
             entry = self._parked[park_id]
             batch = entry.batch
-            blocked = self.plan.link_blocked(
-                pass_index, batch.sender_peer, batch.receiver_peer
-            ) or not live[batch.receiver_peer]
-            if blocked:
+            if self._blocked(pass_index, batch, live):
                 entry.undeliverable = True
                 continue
             if not entry.undeliverable:
@@ -484,31 +619,15 @@ class ReliableTransport:
             # Was blocked, now clear: back onto the wire as a fresh
             # flight with a fresh retry budget.
             del self._parked[park_id]
-            healed = len(batch)
-            mass = sum(abs(u.value) for u in batch)
-            self._healed_updates += healed
-            self._healed_mass += mass
-            self.stats.parked_resent += healed
-            self._obs.parked_resent.inc(healed)
-            key = (batch.sender_peer, batch.receiver_peer)
-            remaining = self._black_holed.get(key, 0) - healed
-            if remaining > 0:
-                self._black_holed[key] = remaining
-            else:
-                self._black_holed.pop(key, None)
+            self._table.settle(batch)
+            self.stats.parked_resent += len(batch)
             self.send(pass_index, batch, live)
 
     def send(self, pass_index: int, batch: MessageBatch, live) -> None:
         """Submit a freshly staged batch for reliable delivery."""
         if not len(batch):
             return
-        flight = _Flight(
-            fid=self._next_fid, batch=batch, first_sent_pass=pass_index
-        )
-        self._next_fid += 1
-        self._flights[flight.fid] = flight
-        self._unacked += len(batch)
-        self._attempt(pass_index, flight, live)
+        self._attempt(pass_index, self._table.launch(batch, pass_index), live)
 
     # ------------------------------------------------------------------
     # Crash support
@@ -518,13 +637,7 @@ class ReliableTransport:
         ``peer`` (its retransmit buffer died with it).  Copies already
         travelling the network are left alone — they physically left
         the host.  Returns the number of updates wiped."""
-        lost = 0
-        for fid in list(self._flights):
-            flight = self._flights[fid]
-            if flight.batch.sender_peer == peer:
-                lost += len(flight.batch)
-                self._unacked -= len(flight.batch)
-                del self._flights[fid]
+        lost = self._table.wipe(peer)
         # The store-and-resend holding area is volatile too.
         for park_id in list(self._parked):
             if self._parked[park_id].batch.sender_peer == peer:
@@ -536,26 +649,24 @@ class ReliableTransport:
         """Record a peer crash and its total volatile-state loss."""
         self.stats.crashes += 1
         self.stats.crash_state_loss += state_loss
-        self._obs.crashes.inc()
-        self._obs.state_loss.inc(state_loss)
 
-    def note_reboot_republish(self, staged: int) -> None:
-        """Record a rebooted peer's conservative re-announcements."""
+    def note_reboot_republish(self, peer: int, staged: int) -> None:
+        """Record a rebooted peer's re-announcements, which supersede
+        what it had abandoned (its parked batches died in the crash)."""
         self.stats.reboot_republished += staged
-        self._obs.republished.inc(staged)
+        self._table.forgive(sender=peer)
 
     def note_stagnation_abort(self) -> None:
         self.stats.stagnation_aborts += 1
-        self._obs.aborts.inc()
 
     # ------------------------------------------------------------------
     # Diagnostics
     # ------------------------------------------------------------------
     def diagnose(self, pass_index: int, stagnant_passes: int) -> FaultDiagnostics:
         """Build the graceful-degradation abort report."""
-        links = dict(self._black_holed)
+        links = self._table.ledger()
         unacked_mass = 0.0
-        for flight in self._flights.values():
+        for flight in self._table:
             key = (flight.batch.sender_peer, flight.batch.receiver_peer)
             links[key] = links.get(key, 0) + len(flight.batch)
             unacked_mass += sum(abs(u.value) for u in flight.batch)
@@ -570,46 +681,38 @@ class ReliableTransport:
             stagnant_passes=stagnant_passes,
             black_holed_links=tuple(sorted(links.items())),
             black_holed_peers=peers,
-            abandoned_updates=self.stats.abandoned_updates - self._healed_updates,
+            abandoned_updates=self._table.abandoned_updates,
             unacked_updates=self.unacked_updates,
-            undelivered_mass=(
-                self._abandoned_mass - self._healed_mass + unacked_mass
-            ),
+            undelivered_mass=self._table.abandoned_mass + unacked_mass,
         )
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _attempt(self, pass_index: int, flight: _Flight, live) -> None:
+    def _blocked(self, pass_index: int, batch: MessageBatch, live) -> bool:
+        """Whether a partition or a down receiver blocks ``batch``."""
+        return self.plan.link_blocked(
+            pass_index, batch.sender_peer, batch.receiver_peer
+        ) or not live[batch.receiver_peer]
+
+    def _attempt(self, pass_index: int, flight: Flight, live) -> None:
         """One transmission attempt: consult the plan, deliver or lose."""
         batch = flight.batch
         self.pass_attempts += 1
-        flight.next_retry_pass = pass_index + self.config.retry_delay(flight.attempts)
-        if self.plan.link_blocked(pass_index, batch.sender_peer, batch.receiver_peer):
-            self.stats.partition_blocked_sends += 1
-            self._obs.blocked.inc()
-            return
-        fate = self.plan.roll_send(pass_index, batch.sender_peer, batch.receiver_peer)
-        if fate.dropped:
-            self.stats.dropped_updates += len(batch)
-            self._obs.dropped.inc(len(batch))
-            return
-        if fate.duplicated:
-            self.stats.duplicated_updates += len(batch)
-            self._obs.duplicated.inc(len(batch))
-        copies = [fate.delay] + ([fate.duplicate_delay] if fate.duplicated else [])
-        for delay in copies:
+        delays = self.plan.send_copies(
+            pass_index, batch.sender_peer, batch.receiver_peer, len(batch), self.stats
+        )
+        for delay in delays:
             if delay > 0:
-                self.stats.delayed_updates += len(batch)
-                self._obs.delayed.inc(len(batch))
-                self._delayed.append(
-                    (pass_index + delay, self._delay_seq, flight, flight.attempts)
+                heapq.heappush(
+                    self._delayed,
+                    (pass_index + delay, self._delay_seq, flight, flight.attempts),
                 )
                 self._delay_seq += 1
             else:
                 self._deliver_copy(pass_index, flight, flight.attempts, live)
 
-    def _deliver_copy(self, pass_index: int, flight: _Flight, attempt: int, live) -> None:
+    def _deliver_copy(self, pass_index: int, flight: Flight, attempt: int, live) -> None:
         """One copy of a batch arrives at the receiver's doorstep."""
         batch = flight.batch
         if not live[batch.receiver_peer]:
@@ -618,45 +721,26 @@ class ReliableTransport:
             return
         applied = self._deliver(batch)
         self.pass_delivered += len(batch)
-        self.pass_batches += 1
         if attempt > 1:
             self.pass_resent += len(batch)
         if flight.delivered_once:
             self.stats.redeliveries_suppressed += len(batch) - applied
-            self._obs.suppressed.inc(len(batch) - applied)
         flight.delivered_once = True
         # The receiver acknowledges; the ack can be lost too.
-        still_tracked = flight.fid in self._flights
-        if still_tracked:
+        if flight.flight_id in self._table:
             self.stats.acks_sent += 1
-            self._obs.acks.inc()
             if self.plan.roll_ack_drop(pass_index):
                 self.stats.acks_dropped += 1
-                self._obs.ack_drops.inc()
             else:
-                self._unacked -= len(batch)
-                del self._flights[flight.fid]
+                self._table.ack(flight.flight_id)
 
-    def _abandon(self, flight: _Flight, pass_index: int, live) -> None:
-        """Retry budget exhausted: record the black hole and park the
-        batch into store-and-resend instead of dropping it (§3.1) —
-        if its link heals or its receiver returns, it relaunches."""
-        batch = flight.batch
-        key = (batch.sender_peer, batch.receiver_peer)
-        self._black_holed[key] = self._black_holed.get(key, 0) + len(batch)
+    def _park(self, batch: MessageBatch, pass_index: int, live) -> None:
+        """Retry budget exhausted: park the batch into store-and-resend
+        (§3.1) — if its link heals or its receiver returns, it
+        relaunches."""
         self.stats.abandoned_updates += len(batch)
-        self._obs.abandoned.inc(len(batch))
-        self._abandoned_mass += sum(abs(u.value) for u in batch)
-        self._unacked -= len(batch)
-        del self._flights[flight.fid]
-        undeliverable = self.plan.link_blocked(
-            pass_index, batch.sender_peer, batch.receiver_peer
-        ) or not live[batch.receiver_peer]
         self._parked[self._next_park] = _Parked(
-            batch=batch,
-            parked_at_pass=pass_index,
-            undeliverable=undeliverable,
+            batch, self._blocked(pass_index, batch, live)
         )
         self._next_park += 1
         self.stats.parked_updates += len(batch)
-        self._obs.parked.inc(len(batch))

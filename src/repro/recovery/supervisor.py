@@ -78,7 +78,7 @@ class _RecoveryInstruments:
         )
         self.healed = reg.counter(
             "recovery.abandoned_healed", unit="messages",
-            description="abandoned updates forgiven after neighbor re-publish",
+            description="abandoned updates forgiven after a restart re-publish",
         )
         self.parked = reg.counter(
             "recovery.parked_deliveries", unit="envelopes",

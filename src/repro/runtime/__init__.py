@@ -5,8 +5,8 @@ synchronised passes, this package *runs* it: every peer is
 an asyncio task behind a :class:`Mailbox`, exchanging the same priced
 wire messages (:mod:`repro.p2p.messages`) over a pluggable
 :class:`Transport` with reliable delivery — acks, capped backoff, a
-retry budget — matching :class:`repro.faults.ReliableTransport`
-semantics (docs/PROTOCOL.md §13, §14).
+retry budget — driving the same :class:`repro.faults.FlightTable`
+as :class:`repro.faults.ReliableTransport` (docs/PROTOCOL.md §13, §14).
 
 Entry point is :class:`AsyncPeerRuntime`, with two scheduler modes:
 
@@ -24,7 +24,7 @@ docs/OBSERVABILITY.md for the ``runtime.*`` metric family it emits.
 from repro.runtime.clock import RealClock, VirtualClock
 from repro.runtime.mailbox import Mailbox, WorkTracker
 from repro.runtime.node import PeerNode
-from repro.runtime.reliability import AsyncFlight, FlightTracker
+from repro.runtime.reliability import FlightTracker
 from repro.runtime.runtime import AsyncPeerRuntime, RuntimeReport
 from repro.runtime.tcp import TcpTransport
 from repro.runtime.transport import (
@@ -54,7 +54,6 @@ __all__ = [
     "WorkTracker",
     "PeerNode",
     "FlightTracker",
-    "AsyncFlight",
     "VirtualClock",
     "RealClock",
     "encode_envelope",

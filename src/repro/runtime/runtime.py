@@ -575,8 +575,8 @@ class AsyncPeerRuntime:
             journal=journal,
             sanitizer=self.sanitizer,
         )
-        # The crashed node's counters and abandonment ledger carry over
-        # (its flight table was wiped at the crash, so reuse is clean).
+        # The crashed node's counters and flight table carry over (its
+        # flights were wiped at the crash; its ledger is cleared below).
         node.tracker = old.tracker
         node.messages_sent = old.messages_sent
         node.batches_sent = old.batches_sent
@@ -592,11 +592,13 @@ class AsyncPeerRuntime:
             sup.instruments.parked.inc(released)
         sup.mark_restarted(pid, now)
         # Recovered peer re-announces its persisted published values
-        # (equal-version replays are idempotent at receivers).
+        # (equal-version replays are idempotent at receivers), which
+        # supersedes whatever it abandoned before the crash.
         staged = peer.reboot_republish(self._peer_of)
         if staged:
             sup.instruments.republished.inc(staged)
             node.flush_outbox(now)
+        sup.instruments.healed.inc(node.tracker.table.forgive(sender=pid))
         if self._recovery.neighbor_republish:
             for other in self.nodes:
                 opid = other.peer.peer_id
@@ -606,9 +608,7 @@ class AsyncPeerRuntime:
                 if refreshed:
                     sup.instruments.republished.inc(refreshed)
                     other.flush_outbox(now)
-                healed = other.tracker.forgive(pid)
-                if healed:
-                    sup.instruments.healed.inc(healed)
+                sup.instruments.healed.inc(other.tracker.forgive(pid))
 
     # ------------------------------------------------------------------
     # Free-running mode

@@ -40,6 +40,7 @@ import numpy as np
 from repro._util import as_generator, check_positive
 from repro._util.rng import SeedLike
 from repro.faults.plan import FaultPlan
+from repro.faults.transport import FaultStats
 from repro.p2p.messages import BatchAck, MessageBatch, PagerankUpdate
 
 __all__ = [
@@ -256,10 +257,9 @@ class InMemoryTransport(Transport):
         must be strictly positive (zero latency would let a round feed
         itself).  Defaults to ``FixedLatency(1.0)``.
     faults:
-        Optional seeded :class:`~repro.faults.plan.FaultPlan`.  Drop,
-        duplication, delay and partition decisions are honoured
-        exactly as in the pass-based reliable transport; injected
-        crash schedules are pass-engine-only and ignored here.
+        Optional seeded :class:`~repro.faults.plan.FaultPlan`; each send's
+        fate comes from its ``send_copies``, as in the pass engines, and
+        is tallied in ``stats``.  Crash schedules are the supervisor's.
     availability:
         Optional :class:`OnOffSchedule`.  A
         delivery addressed to a peer in a down spell is held and
@@ -311,15 +311,12 @@ class InMemoryTransport(Transport):
         # parked here until the peer restarts (docs/PROTOCOL.md §15.4).
         self._down: set = set()
         self._parked_down: Dict[int, List[Envelope]] = {}
+        #: Injected-fault tallies, in the pass engines' vocabulary
+        #: (drops, duplicates, delays, partition blocks, ack drops).
+        self.stats = FaultStats()
         # Plain counters the runtime folds into its report/metrics.
-        self.dropped_updates = 0
-        self.duplicated_updates = 0
-        self.delayed_updates = 0
-        self.partition_blocked_sends = 0
-        self.acks_dropped = 0
         self.deferred_deliveries = 0
         self.delivered_messages = 0
-        self.parked_deliveries = 0
 
     # ------------------------------------------------------------------
     def connect(self, peer_id: int, mailbox) -> None:
@@ -376,28 +373,18 @@ class InMemoryTransport(Transport):
         self, batch: MessageBatch, *, flight_id: int, attempt: int, now: float
     ) -> None:
         """Submit one batch flight copy, consulting the fault plan."""
-        pass_index = self._pass_index(now)
+        delays: Tuple[int, ...] = (0,)
         if self.faults is not None:
-            if self.faults.link_blocked(
-                pass_index, batch.sender_peer, batch.receiver_peer
-            ):
-                self.partition_blocked_sends += 1
-                return
-            fate = self.faults.roll_send(
-                pass_index, batch.sender_peer, batch.receiver_peer
+            delays = self.faults.send_copies(
+                self._pass_index(now),
+                batch.sender_peer,
+                batch.receiver_peer,
+                len(batch),
+                self.stats,
             )
-            if fate.dropped:
-                self.dropped_updates += len(batch)
-                return
-            if fate.duplicated:
-                self.duplicated_updates += len(batch)
-            delays = [fate.delay] + ([fate.duplicate_delay] if fate.duplicated else [])
-        else:
-            delays = [0]
         for extra in delays:
             when = now + self._draw_latency(batch.sender_peer, batch.receiver_peer)
             if extra > 0:
-                self.delayed_updates += len(batch)
                 when += extra * self.pass_time
             self._schedule(
                 when,
@@ -417,7 +404,7 @@ class InMemoryTransport(Transport):
         if self.faults is not None and self.faults.roll_ack_drop(
             self._pass_index(now)
         ):
-            self.acks_dropped += 1
+            self.stats.acks_dropped += 1
             return
         when = now + self._draw_latency(ack.sender_peer, ack.receiver_peer)
         self._schedule(
@@ -444,7 +431,6 @@ class InMemoryTransport(Transport):
         while self._heap and self._heap[0][0] <= now:
             when, _, _, envelope = heapq.heappop(self._heap)
             if envelope.receiver in self._down:
-                self.parked_deliveries += 1
                 self._parked_down.setdefault(envelope.receiver, []).append(
                     envelope
                 )

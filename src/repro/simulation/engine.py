@@ -363,7 +363,7 @@ class P2PPagerankSimulation:
                     for p in sorted(needs_republish):
                         if crash_down[p] == 0 and live[p]:
                             staged = self.peers[p].reboot_republish(self._peer_of)
-                            transport.note_reboot_republish(staged)
+                            transport.note_reboot_republish(p, staged)
                             needs_republish.discard(p)
 
                 if not live.any():
@@ -532,6 +532,8 @@ class P2PPagerankSimulation:
                 elif active == 0 and deferred_now == 0 and not self._dirty.any():
                     converged = True
                     break
+        if faulted:
+            transport.publish_metrics()
         return tracker.finish(self.ranks(), converged, diagnostics)
 
     # ------------------------------------------------------------------

@@ -80,7 +80,7 @@ class TestInMemoryTransport:
         transport, boxes = wired(faults=faults)
         transport.send_batch(batch(), flight_id=0, attempt=1, now=0.0)
         assert transport.pending == 0
-        assert transport.dropped_updates == 2
+        assert transport.stats.dropped_updates == 2
 
     def test_ack_travels_and_can_drop(self):
         transport, boxes = wired()
@@ -97,7 +97,7 @@ class TestInMemoryTransport:
             BatchAck(flight_id=7, sender_peer=1, receiver_peer=0), now=0.0
         )
         assert transport2.pending == 0
-        assert transport2.acks_dropped == 1
+        assert transport2.stats.acks_dropped == 1
 
     def test_down_peer_holds_delivery_until_return(self):
         availability = OnOffSchedule(2, mean_up=5.0, mean_down=5.0, seed=3)

@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint typecheck docs-check bench bench-smoke bench-full perfbench-selftest ablation-async soak-smoke reliability-smoke sanitize-smoke parallel-smoke serve-smoke examples obs-demo clean
+.PHONY: install test lint typecheck docs-check bench bench-smoke bench-full perfbench-selftest ablation-async ablation-passes soak-smoke reliability-smoke sanitize-smoke parallel-smoke serve-smoke examples obs-demo clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -52,6 +52,13 @@ bench-full:
 # The CI test job runs the same line.
 ablation-async:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_ablation_async.py --benchmark-disable -q
+
+# The pass-engine ablations: §3.1 re-homing and §3.2 routing on the
+# protocol simulator, and the churn sweep on the vectorized engine's
+# churn loop, each asserting its outcome; a few seconds.  The CI test
+# job runs the same line.
+ablation-passes:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_ablation_rehoming.py benchmarks/test_ablation_routing.py benchmarks/test_ablation_churn_sweep.py --benchmark-disable -q
 
 # Chaos soak smoke: three seeded crash-storm schedules against the
 # recovery-supervised runtime, zero invariant violations required

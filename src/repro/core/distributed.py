@@ -34,12 +34,19 @@ counts.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, List, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
 from repro._util import check_positive, check_threshold
-from repro.core.convergence import ConvergenceTracker, PassStats, RunReport
+from repro.core.convergence import (
+    ConvergenceTracker,
+    PassInstruments,
+    PassStats,
+    RunReport,
+    sample_live,
+)
 from repro.core.kernels import (
     CSRWorkspace,
     Workspace,
@@ -64,31 +71,24 @@ __all__ = [
 ]
 
 
-class _CoreInstruments:
+class _CoreInstruments(PassInstruments):
     """Registry handles for the engine's per-pass emissions.
 
     Fetched once per run; under the default (disabled) registry every
     handle is a shared no-op singleton, so the per-pass cost of the
     instrumentation is a handful of empty method calls — it never
-    touches the numerical state.  Names are documented in
+    touches the numerical state.  The shared per-pass handles are
+    updated by :class:`~repro.core.convergence.ConvergenceTracker`;
+    the rest by the pass loops.  Names are documented in
     docs/OBSERVABILITY.md.
     """
 
-    __slots__ = (
-        "passes",
-        "updates",
-        "messages",
-        "deferred",
-        "resent",
-        "dropped",
-        "dead_passes",
-        "residual",
-        "active",
-        "live_peers",
-        "pass_timer",
-    )
+    __slots__ = ("updates", "deferred", "dropped", "pass_timer")
+
+    event = "core.pass"
 
     def __init__(self, reg: MetricsRegistry) -> None:
+        super().__init__()
         self.passes = reg.counter(
             "core.passes", unit="passes",
             description="engine passes executed (Table 1 x-axis)",
@@ -148,18 +148,6 @@ class AvailabilityModel(Protocol):
     def sample(self, pass_index: int) -> np.ndarray:
         """Boolean array of length ``num_peers``: True = peer present."""
         ...  # pragma: no cover
-
-
-class _AllLive:
-    """Trivial availability model: every peer present every pass.  Used
-    to route fault-injected runs through the per-edge churn path when no
-    real availability model was supplied."""
-
-    def __init__(self, num_peers: int) -> None:
-        self._mask = np.ones(num_peers, dtype=bool)
-
-    def sample(self, pass_index: int) -> np.ndarray:
-        return self._mask
 
 
 class ChaoticPagerank:
@@ -277,7 +265,7 @@ class ChaoticPagerank:
             the message-level simulator
             (:class:`repro.simulation.engine.P2PPagerankSimulation`).
             Passing a plan routes the run through the per-edge churn
-            path (with an all-live shim when ``availability`` is None).
+            path (every peer live when ``availability`` is None).
         max_dead_passes:
             Cap on *consecutive* passes with zero live peers; exceeded
             → ``RuntimeError`` instead of a silent stall (dead passes
@@ -302,19 +290,20 @@ class ChaoticPagerank:
         """
         if max_passes < 1:
             raise ValueError(f"max_passes must be >= 1, got {max_passes}")
-        if max_dead_passes < 1:
-            raise ValueError(
-                f"max_dead_passes must be >= 1, got {max_dead_passes}"
+        obs = _CoreInstruments(get_registry())
+        tracker = ConvergenceTracker(
+            self.epsilon, keep_history=keep_history, instruments=obs,
+            max_dead_passes=max_dead_passes,
+        )
+        if self.graph.num_nodes == 0:
+            return tracker.finish(np.zeros(0), True)
+        if availability is None and fault_plan is None:
+            return self._run_static(
+                max_passes, initial_ranks, tracker, obs, on_pass
             )
-        if availability is None:
-            if fault_plan is None:
-                return self._run_static(
-                    max_passes, initial_ranks, keep_history, on_pass
-                )
-            availability = _AllLive(self.num_peers)
         return self._run_churn(
-            max_passes, availability, initial_ranks, keep_history, on_pass,
-            fault_plan=fault_plan, max_dead_passes=max_dead_passes,
+            max_passes, availability, initial_ranks, tracker, obs, on_pass,
+            fault_plan,
         )
 
     # ------------------------------------------------------------------
@@ -324,14 +313,12 @@ class ChaoticPagerank:
         self,
         max_passes: int,
         initial_ranks: Optional[np.ndarray],
-        keep_history: bool,
-        on_pass: Optional[PassObserver] = None,
+        tracker: ConvergenceTracker,
+        obs: _CoreInstruments,
+        on_pass: Optional[PassObserver],
     ) -> RunReport:
         n = self.graph.num_nodes
         ws = self.workspace
-        tracker = ConvergenceTracker(self.epsilon, keep_history=keep_history)
-        if n == 0:
-            return tracker.finish(np.zeros(0), True)
 
         rank = self._initial_rank_vector(initial_ranks)
         last_sent = rank.copy()
@@ -355,10 +342,8 @@ class ChaoticPagerank:
         num_edges = ws.dst.size
         frontier = np.empty(n, dtype=bool) if selective else None
 
-        obs = _CoreInstruments(get_registry())
-        sink = get_trace_sink()
         converged = False
-        with sink.span(
+        with get_trace_sink().span(
             "core.run", mode="static", documents=n,
             peers=self.num_peers, epsilon=self.epsilon,
         ):
@@ -427,17 +412,7 @@ class ChaoticPagerank:
                         max_change = float(err_rows.max())
                 if on_pass is not None:
                     on_pass(t, rank)
-                obs.passes.inc()
                 obs.updates.inc(n_active)
-                obs.messages.inc(messages)
-                obs.residual.set(max_change)
-                obs.active.set(n_active)
-                obs.live_peers.set(self.num_peers)
-                if sink.enabled:
-                    sink.event(
-                        "core.pass", pass_index=t, residual=max_change,
-                        active_documents=n_active, messages=messages,
-                    )
                 tracker.record(
                     PassStats(
                         pass_index=t,
@@ -460,21 +435,17 @@ class ChaoticPagerank:
     def _run_churn(
         self,
         max_passes: int,
-        availability: AvailabilityModel,
+        availability: Optional[AvailabilityModel],
         initial_ranks: Optional[np.ndarray],
-        keep_history: bool,
-        on_pass: Optional[PassObserver] = None,
-        *,
-        fault_plan: Optional[FaultPlan] = None,
-        max_dead_passes: int = 50,
+        tracker: ConvergenceTracker,
+        obs: _CoreInstruments,
+        on_pass: Optional[PassObserver],
+        fault_plan: Optional[FaultPlan],
     ) -> RunReport:
         n = self.graph.num_nodes
         ws = self.workspace
         src, dst = ws.src, ws.dst
         cross = self._cross_edge
-        tracker = ConvergenceTracker(self.epsilon, keep_history=keep_history)
-        if n == 0:
-            return tracker.finish(np.zeros(0), True)
 
         rank = self._initial_rank_vector(initial_ranks)
         # Per-edge receiver-side view of the source's rank: initialized
@@ -490,49 +461,16 @@ class ChaoticPagerank:
         new = np.empty_like(rank)
         err = np.empty_like(rank)
 
-        obs = _CoreInstruments(get_registry())
-        sink = get_trace_sink()
         converged = False
-        dead_streak = 0
-        with sink.span(
+        with get_trace_sink().span(
             "core.run", mode="churn", documents=n,
             peers=self.num_peers, epsilon=self.epsilon,
         ):
             for t in range(max_passes):
-                live_peer = np.asarray(availability.sample(t), dtype=bool)
-                if live_peer.shape != (self.num_peers,):
-                    raise ValueError(
-                        f"availability.sample must return shape ({self.num_peers},), "
-                        f"got {live_peer.shape}"
-                    )
+                live_peer = sample_live(availability, t, self.num_peers)
                 if not live_peer.any():
-                    # All peers down: skip the pass — with nothing live,
-                    # active/pending/dirty are vacuously quiet and the
-                    # convergence check would falsely fire.
-                    dead_streak += 1
-                    obs.passes.inc()
-                    obs.dead_passes.inc()
-                    obs.live_peers.set(0)
-                    tracker.record(
-                        PassStats(
-                            pass_index=t,
-                            max_rel_change=0.0,
-                            active_documents=0,
-                            messages=0,
-                            deferred_messages=int(pending.sum()),
-                            live_peers=0,
-                            computed_documents=0,
-                        )
-                    )
-                    if dead_streak >= max_dead_passes:
-                        raise RuntimeError(
-                            f"no live peers for {dead_streak} consecutive "
-                            f"passes (pass {t}); the availability model "
-                            "starves the computation — raise availability "
-                            "or max_dead_passes"
-                        )
+                    tracker.dead_pass(t, int(pending.sum()))
                     continue
-                dead_streak = 0
                 with obs.pass_timer:
                     live_doc = live_peer[self.assignment]
                     src_live = live_doc[src]
@@ -596,38 +534,24 @@ class ChaoticPagerank:
                         pending[defer_edge] = True
 
                     messages = int((deliver_edge & cross).sum()) + n_resent
-                    deferred = int(defer_edge.sum())
                     np.copyto(rank, new)
                 if on_pass is not None:
                     on_pass(t, rank)
 
-                max_change = float(err.max())
                 n_active = int(active.sum())
-                n_live = int(live_peer.sum())
-                obs.passes.inc()
                 obs.updates.inc(n_active)
-                obs.messages.inc(messages)
-                obs.deferred.inc(deferred)
-                obs.resent.inc(n_resent)
+                obs.deferred.inc(int(defer_edge.sum()))
                 obs.dropped.inc(n_dropped)
-                obs.residual.set(max_change)
-                obs.active.set(n_active)
-                obs.live_peers.set(n_live)
-                if sink.enabled:
-                    sink.event(
-                        "core.pass", pass_index=t, residual=max_change,
-                        active_documents=n_active, messages=messages,
-                        deferred=deferred, resent=n_resent, live_peers=n_live,
-                    )
                 tracker.record(
                     PassStats(
                         pass_index=t,
-                        max_rel_change=max_change,
+                        max_rel_change=float(err.max()),
                         active_documents=n_active,
                         messages=messages,
-                        deferred_messages=deferred,
-                        live_peers=n_live,
+                        deferred_messages=int(pending.sum()),
+                        live_peers=int(live_peer.sum()),
                         computed_documents=int(live_doc.sum()),
+                        resent_messages=n_resent,
                     )
                 )
                 if not active.any() and not pending.any() and not dirty.any():
@@ -723,18 +647,10 @@ def scheduled_pagerank(
             converged = False
             break
         report = engine.run(max_passes=budget, initial_ranks=ranks)
-        for stats in report.history:
-            history.append(
-                PassStats(
-                    pass_index=total_passes + stats.pass_index,
-                    max_rel_change=stats.max_rel_change,
-                    active_documents=stats.active_documents,
-                    messages=stats.messages,
-                    deferred_messages=stats.deferred_messages,
-                    live_peers=stats.live_peers,
-                    computed_documents=stats.computed_documents,
-                )
-            )
+        history.extend(
+            replace(stats, pass_index=total_passes + stats.pass_index)
+            for stats in report.history
+        )
         total_messages += report.total_messages
         total_passes += report.passes
         ranks = report.ranks

@@ -37,11 +37,12 @@ instead of spinning to the pass cap.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.p2p.messages import MessageBatch
 from repro.faults.plan import FaultPlan
+from repro.obs import CounterMirror, get_registry
+from repro.p2p.messages import MessageBatch
 
 __all__ = [
     "ReliabilityConfig",
@@ -133,14 +134,12 @@ class FaultStats:
     stagnation_aborts: int = 0
 
 
-class _FaultInstruments:
+def _fault_counters(reg) -> CounterMirror:
     """Registry counters mirroring :class:`FaultStats` field for field
     (shared no-op singletons under the default disabled registry).
     Catalogued in docs/OBSERVABILITY.md §4."""
-
-    def __init__(self, reg) -> None:
-        self._published = FaultStats()
-        self._counters = {
+    return CounterMirror(
+        {
             "dropped_updates": reg.counter(
                 "faults.messages_dropped", unit="messages",
                 description="updates lost to injected message drops",
@@ -201,13 +200,9 @@ class _FaultInstruments:
                 "faults.stagnation_aborts", unit="runs",
                 description="runs aborted by the residual-stagnation detector",
             ),
-        }
-
-    def publish(self, stats: FaultStats) -> None:
-        """Add what ``stats`` gained since the last call to the counters."""
-        for name, counter in self._counters.items():
-            counter.inc(getattr(stats, name) - getattr(self._published, name))
-        self._published = replace(stats)
+        },
+        FaultStats(),
+    )
 
 
 @dataclass
@@ -514,14 +509,12 @@ class ReliableTransport:
         registry=None,
     ) -> None:
         if registry is None:
-            from repro.obs import get_registry
-
             registry = get_registry()
         self.plan = plan
         self.config = config
         self._deliver = deliver
         self.stats = FaultStats()
-        self._obs = _FaultInstruments(registry)
+        self._obs = _fault_counters(registry)
         self._table = FlightTable(config)
         # Heap of (due_pass, seq, flight, attempt_no) — copies travelling
         # the network, delivered in deterministic (due, seq) order.

@@ -29,6 +29,7 @@ its unit and its mapping to the paper's tables is documented in
 from repro.obs.registry import (
     NULL_REGISTRY,
     Counter,
+    CounterMirror,
     Gauge,
     Histogram,
     MetricsRegistry,
@@ -52,6 +53,7 @@ from repro.obs.trace import (
 
 __all__ = [
     "Counter",
+    "CounterMirror",
     "Gauge",
     "Histogram",
     "TimerMetric",

@@ -38,8 +38,8 @@ or process-wide with :func:`enable` / :func:`disable`.  See
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 
 from repro._util.timers import Timer
 
@@ -51,6 +51,7 @@ __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
+    "CounterMirror",
     "get_registry",
     "set_registry",
     "enable",
@@ -381,6 +382,30 @@ class NullRegistry(MetricsRegistry):
 
     def timer(self, name: str, *, description: str = "") -> TimerMetric:
         return _NULL_TIMER
+
+
+class CounterMirror:
+    """Counters that mirror a dataclass of running totals field for
+    field.
+
+    A component keeps its plain-integer totals (readable without the
+    obs layer) and calls :meth:`publish` whenever the registry should
+    catch up; each counter gains what its field gained since the last
+    call.  ``counters`` maps field names to counters the owner
+    registered; ``baseline`` is the totals already accounted for.
+    """
+
+    __slots__ = ("_counters", "_published")
+
+    def __init__(self, counters: Mapping[str, Counter], baseline: Any) -> None:
+        self._counters = dict(counters)
+        self._published = replace(baseline)
+
+    def publish(self, totals: Any) -> None:
+        """Add what ``totals`` gained since the last call to the counters."""
+        for name, counter in self._counters.items():
+            counter.inc(getattr(totals, name) - getattr(self._published, name))
+        self._published = replace(totals)
 
 
 #: The process-wide disabled registry (also the initial default).

@@ -439,14 +439,32 @@ class Peer:
         return (1.0 - damping) + damping * total
 
     def _stage_updates(self, doc: int, value: float, peer_of: np.ndarray) -> int:
-        """Stage update messages for ``doc``'s remote out-links."""
-        staged = 0
+        """Publish ``value`` as ``doc``'s next version and stage it for
+        every remote out-link."""
         version = self._publish_version.get(doc, 0) + 1
         self._publish_version[doc] = version
+        return self._stage_out_links(doc, value, version, peer_of)
+
+    def _stage_out_links(
+        self,
+        doc: int,
+        value: float,
+        version: int,
+        peer_of: np.ndarray,
+        dest_peer: Optional[int] = None,
+    ) -> int:
+        """Stage one update per out-link of ``doc`` to a remote peer —
+        or only to ``dest_peer`` when given — in out-link order.
+        Returns the number of updates staged."""
+        staged = 0
         for target in self.graph.out_links(doc):
             target = int(target)
             target_peer = int(peer_of[target])
-            if target_peer != self.peer_id:
+            if (
+                target_peer != self.peer_id
+                if dest_peer is None
+                else target_peer == dest_peer
+            ):
                 self.outbox.stage(
                     target_peer,
                     PagerankUpdate(
@@ -457,6 +475,21 @@ class Peer:
                     ),
                 )
                 staged += 1
+        return staged
+
+    def _republish(self, peer_of: np.ndarray, dest_peer: Optional[int] = None) -> int:
+        """Re-stage every local document's persisted published value at
+        its current publish version (see :meth:`_stage_out_links` for
+        ``dest_peer``).  Documents that never published past the
+        globally known initial value are skipped."""
+        staged = 0
+        for doc in self.documents:
+            doc = int(doc)
+            version = self._publish_version.get(doc, 0)
+            if version:
+                staged += self._stage_out_links(
+                    doc, self.published[doc], version, peer_of, dest_peer
+                )
         return staged
 
     def recompute_document(
@@ -557,29 +590,7 @@ class Peer:
         an update applies it, healing the permanent staleness a bare
         wipe would leave.  Returns the number of updates staged.
         """
-        staged = 0
-        for doc in self.documents:
-            doc = int(doc)
-            version = self._publish_version.get(doc, 0)
-            if version == 0:
-                # Never published past the globally known initial value.
-                continue
-            value = self.published[doc]
-            for target in self.graph.out_links(doc):
-                target = int(target)
-                target_peer = int(peer_of[target])
-                if target_peer != self.peer_id:
-                    self.outbox.stage(
-                        target_peer,
-                        PagerankUpdate(
-                            target_doc=target,
-                            source_doc=doc,
-                            value=value,
-                            version=version,
-                        ),
-                    )
-                    staged += 1
-        return staged
+        return self._republish(peer_of)
 
     def republish_to(self, dest_peer: int, peer_of: np.ndarray) -> int:
         """Anti-entropy catch-up toward one recovered neighbor: stage
@@ -595,27 +606,7 @@ class Peer:
         are equal-version idempotent at the receiver.  Returns the
         number of updates staged.
         """
-        staged = 0
-        for doc in self.documents:
-            doc = int(doc)
-            version = self._publish_version.get(doc, 0)
-            if version == 0:
-                continue
-            value = self.published[doc]
-            for target in self.graph.out_links(doc):
-                target = int(target)
-                if int(peer_of[target]) == dest_peer:
-                    self.outbox.stage(
-                        dest_peer,
-                        PagerankUpdate(
-                            target_doc=target,
-                            source_doc=doc,
-                            value=value,
-                            version=version,
-                        ),
-                    )
-                    staged += 1
-        return staged
+        return self._republish(peer_of, dest_peer)
 
     # ------------------------------------------------------------------
     # Document migration (DHT re-homing support)

@@ -40,7 +40,7 @@ COL_MESSAGES = 1    #: cross-peer update messages (Table 3 accounting)
 COL_MAX_CHANGE = 2  #: max per-document relative change in the shard
 COL_COMPUTED = 3    #: documents recomputed (live documents, churn path)
 COL_PUBLISHED = 4   #: entries the shard wrote to its published region
-COL_DEFERRED = 5    #: updates stored for absent receivers (§3.1)
+COL_DEFERRED = 5    #: stored updates outstanding at the end of the pass (§3.1)
 COL_RESENT = 6      #: store-and-resend deliveries completed
 COL_DROPPED = 7     #: deliveries lost to injected faults
 COL_PENDING = 8     #: 1.0 if any edge still holds a parked update

@@ -34,7 +34,13 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro._util import check_positive, check_threshold
-from repro.core.convergence import ConvergenceTracker, PassStats, RunReport
+from repro.core.convergence import (
+    ConvergenceTracker,
+    PassInstruments,
+    PassStats,
+    RunReport,
+    sample_live,
+)
 from repro.core.distributed import AvailabilityModel, PassObserver
 from repro.core.kernels import expand_rows
 from repro.core.pagerank import DEFAULT_DAMPING
@@ -49,7 +55,6 @@ from repro.parallel.control import (
     COL_COMPUTED,
     COL_CUT,
     COL_DEFERRED,
-    COL_DROPPED,
     COL_MAX_CHANGE,
     COL_MESSAGES,
     COL_PUBLISHED,
@@ -86,28 +91,22 @@ class ExchangeStats:
     hops: int
 
 
-class _AllPresent:
-    """Availability model with every peer always live; routes
-    fault-only runs through the per-edge churn path (picklable, no
-    RNG, so every party trivially agrees)."""
-
-    def __init__(self, num_peers: int) -> None:
-        self._mask = np.ones(num_peers, dtype=bool)
-
-    def sample(self, pass_index: int) -> np.ndarray:
-        return self._mask
-
-
-class _ParallelInstruments:
+class _ParallelInstruments(PassInstruments):
     """Registry handles for the parallel engine's emissions (no-ops
-    under the default disabled registry; docs/OBSERVABILITY.md §12)."""
+    under the default disabled registry; docs/OBSERVABILITY.md §12).
+    Of the shared per-pass handles
+    :class:`~repro.core.convergence.ConvergenceTracker` updates, the
+    engine registers only ``passes``."""
 
     __slots__ = (
-        "passes", "exchange_messages", "exchange_bytes", "exchange_hops",
+        "exchange_messages", "exchange_bytes", "exchange_hops",
         "barrier_wait", "compute", "utilization", "imbalance", "workers",
     )
 
+    event = "parallel.pass"
+
     def __init__(self, reg: MetricsRegistry) -> None:
+        super().__init__()
         self.passes = reg.counter(
             "parallel.passes", unit="passes",
             description="sharded-engine passes executed",
@@ -266,19 +265,17 @@ class ParallelPagerank:
         prices cross-shard exchange hops on the static path (direct
         delivery — one hop per delta — when ``None``).
         """
-        if max_dead_passes < 1:
-            raise ValueError(
-                f"max_dead_passes must be >= 1, got {max_dead_passes}"
-            )
         n = self.graph.num_nodes
-        tracker = ConvergenceTracker(self.epsilon, keep_history=keep_history)
+        obs = _ParallelInstruments(get_registry())
+        tracker = ConvergenceTracker(
+            self.epsilon, keep_history=keep_history, instruments=obs,
+            max_dead_passes=max_dead_passes,
+        )
         if n == 0:
             self.last_exchange = ExchangeStats(0, 0, 0)
             return tracker.finish(np.zeros(0), True)
 
         mode = "churn" if (availability is not None or fault_spec is not None) else "static"
-        if mode == "churn" and availability is None:
-            availability = _AllPresent(self.num_peers)
         cfg = RunConfig(
             num_docs=n,
             num_peers=max(self.num_peers, 1),
@@ -288,7 +285,6 @@ class ParallelPagerank:
             epsilon=self.epsilon,
             max_passes=max_passes,
             mode=mode,
-            max_dead_passes=max_dead_passes,
             fault_spec=fault_spec,
             fault_seed=fault_seed,
             availability=availability,
@@ -298,7 +294,6 @@ class ParallelPagerank:
         if backend == "auto":
             backend = "process" if self.workers > 1 else "in-process"
 
-        obs = _ParallelInstruments(get_registry())
         sizes = np.diff(self.plan.row_offsets).astype(np.float64)
         obs.imbalance.set(float(sizes.max() / sizes.mean()) if sizes.mean() else 1.0)
         obs.workers.set(self.workers if backend == "process" else 1)
@@ -382,93 +377,6 @@ class ParallelPagerank:
                 hops += int(policy.delivery_hops_batch(sender, cut_targets))
         return hops
 
-    def _record_static(
-        self,
-        tracker: ConvergenceTracker,
-        obs: _ParallelInstruments,
-        stats: np.ndarray,
-        t: int,
-    ) -> None:
-        obs.passes.inc()
-        obs.compute.observe(float(stats[:, COL_COMPUTE_S].sum()))
-        tracker.record(
-            PassStats(
-                pass_index=t,
-                max_rel_change=float(stats[:, COL_MAX_CHANGE].max()),
-                active_documents=int(stats[:, COL_ACTIVE].sum()),
-                messages=int(stats[:, COL_MESSAGES].sum()),
-                deferred_messages=0,
-                live_peers=self.num_peers,
-                computed_documents=self.graph.num_nodes,
-            )
-        )
-
-    def _record_churn(
-        self,
-        tracker: ConvergenceTracker,
-        obs: _ParallelInstruments,
-        stats: np.ndarray,
-        t: int,
-        live_peers: int,
-    ) -> None:
-        obs.passes.inc()
-        obs.compute.observe(float(stats[:, COL_COMPUTE_S].sum()))
-        tracker.record(
-            PassStats(
-                pass_index=t,
-                max_rel_change=float(stats[:, COL_MAX_CHANGE].max()),
-                active_documents=int(stats[:, COL_ACTIVE].sum()),
-                messages=int(stats[:, COL_MESSAGES].sum()),
-                deferred_messages=int(stats[:, COL_DEFERRED].sum()),
-                live_peers=live_peers,
-                computed_documents=int(stats[:, COL_COMPUTED].sum()),
-            )
-        )
-
-    def _finish(
-        self,
-        tracker: ConvergenceTracker,
-        rank: np.ndarray,
-        converged: bool,
-        obs: _ParallelInstruments,
-        exchange_messages: int,
-        exchange_hops: int,
-        compute_total: float,
-        wall: float,
-    ) -> RunReport:
-        exchange = ExchangeStats(
-            messages=exchange_messages,
-            bytes_on_wire=exchange_messages * MESSAGE_SIZE_BYTES,
-            hops=exchange_hops,
-        )
-        self.last_exchange = exchange
-        denom = self.workers * wall
-        self.last_utilization = compute_total / denom if denom > 0 else 0.0
-        obs.exchange_messages.inc(exchange.messages)
-        obs.exchange_bytes.inc(exchange.bytes_on_wire)
-        obs.exchange_hops.inc(exchange.hops)
-        obs.utilization.set(self.last_utilization)
-        return tracker.finish(rank.copy(), converged)
-
-    @staticmethod
-    def _validate_live(live: np.ndarray, num_peers: int) -> np.ndarray:
-        live = np.asarray(live, dtype=bool)
-        if live.shape != (num_peers,):
-            raise ValueError(
-                f"availability.sample must return shape ({num_peers},), "
-                f"got {live.shape}"
-            )
-        return live
-
-    @staticmethod
-    def _starvation_error(dead_streak: int, t: int) -> RuntimeError:
-        return RuntimeError(
-            f"no live peers for {dead_streak} consecutive "
-            f"passes (pass {t}); the availability model "
-            "starves the computation — raise availability "
-            "or max_dead_passes"
-        )
-
     # ------------------------------------------------------------------
     # In-process backend: the same per-shard code on one thread
     # ------------------------------------------------------------------
@@ -487,12 +395,7 @@ class ParallelPagerank:
         state = build_worker_state(cfg, views)
         runners = [ShardRunner(state, s) for s in range(cfg.shards)]
         stats = views["stats"]
-        rank = views["rank"]
-        converged = False
-        ex_messages = 0
-        ex_hops = 0
-        compute_total = 0.0
-        t_start = perf_counter()
+        loop = _ParentLoop(self, tracker, obs, views, on_pass, policy)
         if cfg.mode == "static":
             prev_published = 0
             for t in range(cfg.max_passes):
@@ -506,54 +409,24 @@ class ParallelPagerank:
                 for runner in runners:
                     runner.static_publish()
                 prev_published = int(stats[:, COL_PUBLISHED].sum())
-                ex_messages += int(stats[:, COL_CUT].sum())
-                ex_hops += self._price_static_exchange(policy, views, stats)
-                compute_total += float(stats[:, COL_COMPUTE_S].sum())
-                if on_pass is not None:
-                    on_pass(t, rank)
-                self._record_static(tracker, obs, stats, t)
-                if static_should_stop(stats):
-                    converged = True
+                if loop.close_pass(t, None):
                     break
         else:
-            availability = cfg.availability
-            assert availability is not None
-            dead_streak = 0
             for t in range(cfg.max_passes):
-                live = self._validate_live(
-                    availability.sample(t), cfg.num_peers
-                )
-                if not live.any():
-                    dead_streak += 1
+                live = sample_live(cfg.availability, t, cfg.num_peers)
+                if live.any():
+                    for runner in runners:
+                        runner.churn_compute(t, live)
+                    for runner in runners:
+                        runner.churn_publish()
+                    for runner in runners:
+                        runner.churn_deliver(t, live)
+                else:
                     for runner in runners:
                         runner.churn_dead_pass(t)
-                    self._record_churn(tracker, obs, stats, t, 0)
-                    if dead_streak >= cfg.max_dead_passes:
-                        raise self._starvation_error(dead_streak, t)
-                    continue
-                dead_streak = 0
-                for runner in runners:
-                    runner.churn_compute(t, live)
-                for runner in runners:
-                    runner.churn_publish()
-                for runner in runners:
-                    runner.churn_deliver(t, live)
-                ex_messages += int(stats[:, COL_CUT].sum())
-                ex_hops += int(stats[:, COL_CUT].sum())
-                compute_total += float(stats[:, COL_COMPUTE_S].sum())
-                if on_pass is not None:
-                    on_pass(t, rank)
-                self._record_churn(
-                    tracker, obs, stats, t, int(live.sum())
-                )
-                if churn_should_stop(stats):
-                    converged = True
+                if loop.close_pass(t, live):
                     break
-        wall = perf_counter() - t_start
-        return self._finish(
-            tracker, rank, converged, obs,
-            ex_messages, ex_hops, compute_total, wall,
-        )
+        return loop.finish()
 
     # ------------------------------------------------------------------
     # Process backend: worker OS processes over the shared arena
@@ -586,8 +459,6 @@ class ParallelPagerank:
             arena.view("published")[:] = 0
             arena.view("stats")[:] = 0.0
             views = arena.views()
-            stats = views["stats"]
-            rank = views["rank"]
             for w in range(cfg.workers):
                 proc = ctx.Process(
                     target=worker_main,
@@ -601,79 +472,38 @@ class ParallelPagerank:
                 proc.start()
                 procs.append(proc)
 
-            converged = False
-            ex_messages = 0
-            ex_hops = 0
-            compute_total = 0.0
-            t_start = perf_counter()
+            loop = _ParentLoop(self, tracker, obs, views, on_pass, policy)
             try:
                 if cfg.mode == "static":
                     for t in range(cfg.max_passes):
                         with obs.barrier_wait:
                             barrier_a.wait(BARRIER_TIMEOUT_S)
                             barrier_b.wait(BARRIER_TIMEOUT_S)
-                        ex_messages += int(stats[:, COL_CUT].sum())
-                        ex_hops += self._price_static_exchange(
-                            policy, views, stats
-                        )
-                        compute_total += float(stats[:, COL_COMPUTE_S].sum())
-                        if on_pass is not None:
-                            on_pass(t, rank)
-                        self._record_static(tracker, obs, stats, t)
-                        if static_should_stop(stats):
-                            converged = True
+                        if loop.close_pass(t, None):
                             break
                 else:
                     # Parent holds its own identically seeded copy of
                     # the availability model: under fork the workers'
                     # copies snapshot the same pre-run RNG state, under
-                    # spawn they are pickled from it.
-                    availability = cfg.availability
-                    assert availability is not None
-                    dead_streak = 0
+                    # spawn they are pickled from it.  Dead and live
+                    # passes share the rendezvous sequence.
                     for t in range(cfg.max_passes):
-                        live = self._validate_live(
-                            availability.sample(t), cfg.num_peers
-                        )
-                        if not live.any():
-                            dead_streak += 1
-                            with obs.barrier_wait:
-                                barrier_a.wait(BARRIER_TIMEOUT_S)
-                                barrier_b.wait(BARRIER_TIMEOUT_S)
-                                barrier_a.wait(BARRIER_TIMEOUT_S)
-                            self._record_churn(tracker, obs, stats, t, 0)
-                            if dead_streak >= cfg.max_dead_passes:
-                                raise self._starvation_error(dead_streak, t)
-                            continue
-                        dead_streak = 0
+                        live = sample_live(cfg.availability, t, cfg.num_peers)
                         with obs.barrier_wait:
                             barrier_a.wait(BARRIER_TIMEOUT_S)
                             barrier_b.wait(BARRIER_TIMEOUT_S)
                             barrier_a.wait(BARRIER_TIMEOUT_S)
-                        ex_messages += int(stats[:, COL_CUT].sum())
-                        ex_hops += int(stats[:, COL_CUT].sum())
-                        compute_total += float(stats[:, COL_COMPUTE_S].sum())
-                        if on_pass is not None:
-                            on_pass(t, rank)
-                        self._record_churn(
-                            tracker, obs, stats, t, int(live.sum())
-                        )
-                        if churn_should_stop(stats):
-                            converged = True
+                        if loop.close_pass(t, live):
                             break
             except threading.BrokenBarrierError:
                 raise self._collect_worker_error(errors)
             finally:
-                # Unblock any worker still parked on a barrier (e.g.
-                # when the parent errored between waits), then reap.
+                # Unblock any worker still parked on a barrier (the
+                # parent errored between waits, or the dead-pass rule
+                # ended the run), then reap.
                 barrier_a.abort()
                 barrier_b.abort()
-            wall = perf_counter() - t_start
-            rank_final = np.array(rank, copy=True)
-            return self._finish(
-                tracker, rank_final, converged, obs,
-                ex_messages, ex_hops, compute_total, wall,
-            )
+            return loop.finish()
         finally:
             for proc in procs:
                 proc.join(timeout=30.0)
@@ -695,6 +525,102 @@ class ParallelPagerank:
             pass
         detail = "\n".join(tracebacks) if tracebacks else "(no traceback reported)"
         return RuntimeError(f"parallel worker failed:\n{detail}")
+
+
+class _ParentLoop:
+    """The parent's end-of-pass bookkeeping, shared by both backends.
+
+    After each pass's last rendezvous the parent reads the shards'
+    statistics rows: it prices the cross-shard exchange, hands a live
+    pass to the tracker as one :class:`PassStats` (a pass with zero
+    live peers as a dead pass, which may end the run), and decides
+    whether the run stopped.
+    """
+
+    def __init__(
+        self,
+        engine: ParallelPagerank,
+        tracker: ConvergenceTracker,
+        obs: _ParallelInstruments,
+        views: Dict[str, np.ndarray],
+        on_pass: Optional[PassObserver],
+        policy: Optional[DeliveryPolicy],
+    ) -> None:
+        self.engine = engine
+        self.tracker = tracker
+        self.obs = obs
+        self.views = views
+        self.stats = views["stats"]
+        self.on_pass = on_pass
+        self.policy = policy
+        self.converged = False
+        self.exchange_messages = 0
+        self.exchange_hops = 0
+        self.compute_total = 0.0
+        self.t_start = perf_counter()
+
+    def close_pass(self, t: int, live: Optional[np.ndarray]) -> bool:
+        """Record pass ``t`` (``live`` is ``None`` on the static path);
+        true when the run converged."""
+        stats = self.stats
+        compute_s = float(stats[:, COL_COMPUTE_S].sum())
+        self.compute_total += compute_s
+        self.obs.compute.observe(compute_s)
+        if live is not None and not live.any():
+            self.tracker.dead_pass(t, int(stats[:, COL_DEFERRED].sum()))
+            return False
+        engine = self.engine
+        cut = int(stats[:, COL_CUT].sum())
+        self.exchange_messages += cut
+        if live is None:
+            self.exchange_hops += engine._price_static_exchange(
+                self.policy, self.views, stats
+            )
+        else:
+            self.exchange_hops += cut
+        if self.on_pass is not None:
+            self.on_pass(t, self.views["rank"])
+        self.tracker.record(
+            PassStats(
+                pass_index=t,
+                max_rel_change=float(stats[:, COL_MAX_CHANGE].max()),
+                active_documents=int(stats[:, COL_ACTIVE].sum()),
+                messages=int(stats[:, COL_MESSAGES].sum()),
+                deferred_messages=int(stats[:, COL_DEFERRED].sum()),
+                live_peers=(
+                    engine.num_peers if live is None else int(live.sum())
+                ),
+                computed_documents=(
+                    engine.graph.num_nodes if live is None
+                    else int(stats[:, COL_COMPUTED].sum())
+                ),
+                resent_messages=int(stats[:, COL_RESENT].sum()),
+            )
+        )
+        stop = static_should_stop if live is None else churn_should_stop
+        self.converged = stop(stats)
+        return self.converged
+
+    def finish(self) -> RunReport:
+        """Publish the run's exchange totals and freeze the report."""
+        wall = perf_counter() - self.t_start
+        engine = self.engine
+        exchange = ExchangeStats(
+            messages=self.exchange_messages,
+            bytes_on_wire=self.exchange_messages * MESSAGE_SIZE_BYTES,
+            hops=self.exchange_hops,
+        )
+        engine.last_exchange = exchange
+        denom = engine.workers * wall
+        engine.last_utilization = self.compute_total / denom if denom > 0 else 0.0
+        obs = self.obs
+        obs.exchange_messages.inc(exchange.messages)
+        obs.exchange_bytes.inc(exchange.bytes_on_wire)
+        obs.exchange_hops.inc(exchange.hops)
+        obs.utilization.set(engine.last_utilization)
+        return self.tracker.finish(
+            np.array(self.views["rank"], copy=True), self.converged
+        )
 
 
 def parallel_pagerank(

@@ -30,10 +30,11 @@ from __future__ import annotations
 import traceback
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.convergence import sample_live
 from repro.core.distributed import AvailabilityModel
 from repro.core.kernels import (
     CSRWorkspace,
@@ -56,7 +57,6 @@ from repro.parallel.control import (
     COL_PENDING,
     COL_PUBLISHED,
     COL_RESENT,
-    N_STAT_COLS,
     churn_should_stop,
     static_pass_is_dense,
     static_should_stop,
@@ -94,7 +94,6 @@ class RunConfig:
     epsilon: float
     max_passes: int
     mode: str  # "static" | "churn"
-    max_dead_passes: int = 50
     fault_spec: Optional[FaultSpec] = None
     fault_seed: int = 0
     availability: Optional[AvailabilityModel] = None
@@ -417,7 +416,7 @@ class ShardRunner:
         row[COL_MESSAGES] = messages
         row[COL_MAX_CHANGE] = self._stage_max_change
         row[COL_COMPUTED] = self._n_computed
-        row[COL_DEFERRED] = int(defer.sum())
+        row[COL_DEFERRED] = int(self.pending.sum())
         row[COL_RESENT] = self._n_resent
         row[COL_DROPPED] = self._n_dropped
         row[COL_PENDING] = 1.0 if self.pending.any() else 0.0
@@ -472,8 +471,6 @@ def _loop_churn(
 ) -> None:
     cfg = state.cfg
     stats = state.views["stats"]
-    availability = cfg.availability
-    assert availability is not None
     # Three rendezvous per churn pass (A, B, A again — barriers reset
     # once every party passes, so reuse is safe as long as every party
     # performs the identical wait sequence):
@@ -481,22 +478,17 @@ def _loop_churn(
     #   deliver + stats -> A -> (parent records; stop decision)
     # The extra rendezvous keeps the parent's read window (between the
     # last wait and the next pass's first wait) free of shared writes.
-    dead_streak = 0
+    # The parent alone applies the dead-pass rule: when it ends the run
+    # it aborts both barriers, which stands the workers down.
     for t in range(cfg.max_passes):
-        live_peer = np.asarray(availability.sample(t), dtype=bool)
+        live_peer = sample_live(cfg.availability, t, cfg.num_peers)
         if not live_peer.any():
-            dead_streak += 1
             barrier_a.wait(BARRIER_TIMEOUT_S)
             barrier_b.wait(BARRIER_TIMEOUT_S)
             for runner in runners:
                 runner.churn_dead_pass(t)
             barrier_a.wait(BARRIER_TIMEOUT_S)
-            if dead_streak >= cfg.max_dead_passes:
-                # Every party detects the same starvation at the same
-                # pass; the parent raises, workers just stand down.
-                break
             continue
-        dead_streak = 0
         for runner in runners:
             runner.churn_compute(t, live_peer)
         barrier_a.wait(BARRIER_TIMEOUT_S)
@@ -540,8 +532,8 @@ def worker_main(
             _loop_static(runners, state, barrier_a, barrier_b)
         else:
             _loop_churn(runners, state, barrier_a, barrier_b)
-    except threading.BrokenBarrierError:  # pragma: no cover - peer failed
-        pass
+    except threading.BrokenBarrierError:  # pragma: no cover - a peer failed,
+        pass  # or the parent ended the run (dead-pass rule) and aborted the barriers
     except Exception:  # pragma: no cover - exercised via machinery tests
         errors.put((worker_id, traceback.format_exc()))
         barrier_a.abort()

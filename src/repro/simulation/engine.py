@@ -23,13 +23,19 @@ message counts and pass counts), which the integration suite checks.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro._util import check_positive, check_threshold
-from repro.core.convergence import ConvergenceTracker, PassStats, RunReport
+from repro.core.convergence import (
+    ConvergenceTracker,
+    PassInstruments,
+    PassStats,
+    RunReport,
+    sample_live,
+)
 from repro.core.distributed import AvailabilityModel
 from repro.core.kernels import expand_rows, kernel_backend
 from repro.core.pagerank import DEFAULT_DAMPING
@@ -40,7 +46,7 @@ from repro.faults.transport import (
     StagnationDetector,
 )
 from repro.graphs.linkgraph import LinkGraph
-from repro.obs import get_registry, get_trace_sink
+from repro.obs import CounterMirror, get_registry, get_trace_sink
 from repro.p2p.messages import MESSAGE_SIZE_BYTES, MessageBatch, UpdateBlock
 from repro.p2p.network import P2PNetwork
 from repro.p2p.peer import Peer
@@ -80,54 +86,52 @@ class TrafficSummary:
     migrations: int = 0
 
 
-class _SimInstruments:
+class _SimInstruments(PassInstruments):
     """Registry handles for the protocol simulator's per-pass emissions
     (shared no-op singletons under the default disabled registry).
-    Names are documented in docs/OBSERVABILITY.md."""
+    The shared per-pass handles are updated by
+    :class:`~repro.core.convergence.ConvergenceTracker`; :attr:`traffic`
+    mirrors :class:`TrafficSummary`.  Names are documented in
+    docs/OBSERVABILITY.md."""
 
-    __slots__ = (
-        "passes",
-        "delivered",
-        "resent",
-        "batches",
-        "bytes",
-        "hops",
-        "migrations",
-        "store_depth",
-        "residual",
-        "live_peers",
-        "dead_passes",
-        "pass_timer",
-    )
+    __slots__ = ("traffic", "pass_timer")
 
-    def __init__(self, reg) -> None:
+    event = "sim.pass"
+
+    def __init__(self, reg, traffic: TrafficSummary) -> None:
+        super().__init__()
         self.passes = reg.counter(
             "sim.passes", unit="passes",
             description="protocol-simulator passes executed",
         )
-        self.delivered = reg.counter(
-            "sim.messages_delivered", unit="messages",
-            description="cross-peer update messages delivered (Table 3)",
-        )
-        self.resent = reg.counter(
-            "sim.messages_resent", unit="messages",
-            description="deliveries that had been stored for absent peers",
-        )
-        self.batches = reg.counter(
-            "sim.network_batches", unit="batches",
-            description="(sender, receiver) batch transfers (section 4.6.1 unit)",
-        )
-        self.bytes = reg.counter(
-            "sim.bytes_transferred", unit="bytes",
-            description="wire bytes under the paper's 24-byte message model",
-        )
-        self.hops = reg.counter(
-            "sim.routing_hops", unit="hops",
-            description="hops charged by the delivery policy (section 3.2)",
-        )
-        self.migrations = reg.counter(
-            "sim.migrations", unit="documents",
-            description="documents moved by section 3.1 re-homing",
+        self.traffic = CounterMirror(
+            {
+                "update_messages": reg.counter(
+                    "sim.messages_delivered", unit="messages",
+                    description="cross-peer update messages delivered (Table 3)",
+                ),
+                "resent_messages": reg.counter(
+                    "sim.messages_resent", unit="messages",
+                    description="deliveries that had been stored for absent peers",
+                ),
+                "network_batches": reg.counter(
+                    "sim.network_batches", unit="batches",
+                    description="(sender, receiver) batch transfers (section 4.6.1 unit)",
+                ),
+                "bytes_transferred": reg.counter(
+                    "sim.bytes_transferred", unit="bytes",
+                    description="wire bytes under the paper's 24-byte message model",
+                ),
+                "routing_hops": reg.counter(
+                    "sim.routing_hops", unit="hops",
+                    description="hops charged by the delivery policy (section 3.2)",
+                ),
+                "migrations": reg.counter(
+                    "sim.migrations", unit="documents",
+                    description="documents moved by section 3.1 re-homing",
+                ),
+            },
+            traffic,
         )
         self.store_depth = reg.histogram(
             "sim.store_depth", unit="messages",
@@ -304,16 +308,14 @@ class P2PPagerankSimulation:
         """
         if max_passes < 1:
             raise ValueError(f"max_passes must be >= 1, got {max_passes}")
-        if max_dead_passes < 1:
-            raise ValueError(
-                f"max_dead_passes must be >= 1, got {max_dead_passes}"
-            )
-        tracker = ConvergenceTracker(self.epsilon, keep_history=keep_history)
+        reg = get_registry()
+        obs = _SimInstruments(reg, self.traffic)
+        tracker = ConvergenceTracker(
+            self.epsilon, keep_history=keep_history, instruments=obs,
+            max_dead_passes=max_dead_passes,
+        )
         num_peers = self.network.num_peers
 
-        reg = get_registry()
-        sink = get_trace_sink()
-        obs = _SimInstruments(reg)
         faulted = self.faults is not None
         transport: Optional[ReliableTransport] = None
         detector: Optional[StagnationDetector] = None
@@ -328,20 +330,12 @@ class P2PPagerankSimulation:
             needs_republish: Set[int] = set()
         converged = False
         diagnostics = None
-        dead_streak = 0
-        with sink.span(
+        with get_trace_sink().span(
             "sim.run", documents=self.graph.num_nodes, peers=num_peers,
             epsilon=self.epsilon,
         ):
             for t in range(max_passes):
-                if availability is None:
-                    live = np.ones(num_peers, dtype=bool)
-                else:
-                    live = np.asarray(availability.sample(t), dtype=bool)
-                    if live.shape != (num_peers,):
-                        raise ValueError(
-                            f"availability.sample must return shape ({num_peers},)"
-                        )
+                live = sample_live(availability, t, num_peers)
                 if faulted:
                     # Crash-with-state-loss: wipe volatile queues and the
                     # retransmit buffer; the peer reboots after a spell.
@@ -367,42 +361,8 @@ class P2PPagerankSimulation:
                             needs_republish.discard(p)
 
                 if not live.any():
-                    # All peers down: nothing can compute or exchange —
-                    # skip the pass rather than evaluating (and trivially
-                    # satisfying) the convergence criterion.
-                    dead_streak += 1
-                    deferred_now = (
-                        transport.unacked_updates
-                        if faulted
-                        else sum(p.deferred_count for p in self.peers)
-                    )
-                    obs.passes.inc()
-                    obs.dead_passes.inc()
-                    obs.live_peers.set(0)
-                    tracker.record(
-                        PassStats(
-                            pass_index=t,
-                            max_rel_change=0.0,
-                            active_documents=0,
-                            messages=0,
-                            deferred_messages=deferred_now,
-                            live_peers=0,
-                            computed_documents=0,
-                        )
-                    )
-                    if dead_streak >= max_dead_passes:
-                        raise RuntimeError(
-                            f"no live peers for {dead_streak} consecutive "
-                            f"passes (pass {t}); the availability model "
-                            "starves the computation — raise availability or "
-                            "max_dead_passes"
-                        )
+                    tracker.dead_pass(t, self._outstanding(transport))
                     continue
-                dead_streak = 0
-
-                batches_before = self.traffic.network_batches
-                hops_before = self.traffic.routing_hops
-                migrations_before = self.traffic.migrations
 
                 with obs.pass_timer:
                     # (0) §3.1 re-homing of long-absent peers' documents
@@ -472,30 +432,8 @@ class P2PPagerankSimulation:
                 self.traffic.bytes_transferred = (
                     self.traffic.update_messages * MESSAGE_SIZE_BYTES
                 )
-                deferred_now = (
-                    transport.unacked_updates
-                    if faulted
-                    else sum(p.deferred_count for p in self.peers)
-                )
-                n_live = int(live.sum())
-
-                obs.passes.inc()
-                obs.delivered.inc(messages)
-                obs.resent.inc(resent)
-                obs.bytes.inc(messages * MESSAGE_SIZE_BYTES)
-                obs.batches.inc(self.traffic.network_batches - batches_before)
-                obs.hops.inc(self.traffic.routing_hops - hops_before)
-                obs.migrations.inc(self.traffic.migrations - migrations_before)
-                obs.store_depth.observe(deferred_now)
-                obs.residual.set(max_change)
-                obs.live_peers.set(n_live)
-                if sink.enabled:
-                    sink.event(
-                        "sim.pass", pass_index=t, residual=max_change,
-                        active_documents=active, messages=messages,
-                        resent=resent, deferred=deferred_now, live_peers=n_live,
-                    )
-
+                obs.traffic.publish(self.traffic)
+                deferred_now = self._outstanding(transport)
                 tracker.record(
                     PassStats(
                         pass_index=t,
@@ -503,8 +441,9 @@ class P2PPagerankSimulation:
                         active_documents=active,
                         messages=messages,
                         deferred_messages=deferred_now,
-                        live_peers=n_live,
+                        live_peers=int(live.sum()),
                         computed_documents=computed,
+                        resent_messages=resent,
                     )
                 )
                 if faulted:
@@ -535,6 +474,14 @@ class P2PPagerankSimulation:
         if faulted:
             transport.publish_metrics()
         return tracker.finish(self.ranks(), converged, diagnostics)
+
+    # ------------------------------------------------------------------
+    def _outstanding(self, transport: Optional[ReliableTransport]) -> int:
+        """Stored updates still owed: unacknowledged flights under a
+        fault plan, the peers' §3.1 stores otherwise."""
+        if transport is not None:
+            return transport.unacked_updates
+        return sum(p.deferred_count for p in self.peers)
 
     # ------------------------------------------------------------------
     def _fault_deliver(self, batch: MessageBatch) -> int:

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import ChaoticPagerank, pagerank_reference
 from repro.graphs import broder_graph
-from repro.p2p import DocumentPlacement, P2PNetwork
+from repro.p2p import DocumentPlacement, FixedFractionChurn, P2PNetwork
 from repro.simulation import P2PPagerankSimulation
 
 SEEDS = range(20)
@@ -50,3 +50,44 @@ def test_reference_vectorized_simulator_agree(seed, size):
     rel = np.abs(vectorized.ranks - reference) / reference
     assert float(np.percentile(rel, 99)) < REFERENCE_TOLERANCE
     assert float(rel.max()) < 10 * REFERENCE_TOLERANCE
+
+
+class _DarkEvery:
+    """A churn model with every ``period``-th pass forced dark (zero
+    live peers); the wrapped model is still sampled on dark passes."""
+
+    def __init__(self, churn, period):
+        self._churn = churn
+        self._period = period
+
+    def sample(self, pass_index):
+        mask = self._churn.sample(pass_index)
+        if (pass_index + 1) % self._period == 0:
+            return np.zeros_like(mask)
+        return mask
+
+
+@pytest.mark.parametrize("seed", (3, 7, 11))
+def test_vectorized_and_simulator_histories_equal_under_churn(seed):
+    """Every per-pass record field means the same in both engines,
+    dead passes and the outstanding §3.1 store included."""
+    docs, peers = 1500, 15
+    graph = broder_graph(docs, seed=seed)
+    placement = DocumentPlacement.random(docs, peers, seed=8)
+
+    def availability():
+        return _DarkEvery(FixedFractionChurn(peers, 0.6, seed=9), period=7)
+
+    vectorized = ChaoticPagerank(
+        graph, placement.assignment, num_peers=peers, epsilon=1e-4
+    ).run(availability=availability())
+    network = P2PNetwork(peers, placement, build_ring=False)
+    simulator = P2PPagerankSimulation(graph, network, epsilon=1e-4).run(
+        availability=availability()
+    )
+
+    assert vectorized.converged and simulator.converged
+    assert any(s.live_peers == 0 for s in vectorized.history)
+    assert any(s.deferred_messages > 0 for s in vectorized.history)
+    assert vectorized.history == simulator.history
+    assert np.array_equal(vectorized.ranks, simulator.ranks)
